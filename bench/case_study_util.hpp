@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <iostream>
 #include <map>
 #include <optional>
 #include <string>
@@ -35,7 +37,9 @@ namespace bench {
  * outputs `--trace-out <path>` and `--report-out <path>`), collects
  * metrics during the run, and writes the canonical golden record on
  * finish().  Without --golden-out the collected record is simply
- * dropped, so harnesses call add() unconditionally.
+ * dropped, so harnesses call add() unconditionally.  An unknown flag
+ * or a flag without its path prints the message and the supported
+ * flags to stderr and exits with status 2.
  *
  * --trace-out / --report-out are parsed for every harness; the
  * harnesses that run the discrete-event simulator consume them via
@@ -61,33 +65,13 @@ class GoldenOut
     {
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
-            if (arg == "--golden-out") {
-                require(i + 1 < argc,
-                        "--golden-out needs a file path");
-                path_ = argv[++i];
-            } else if (arg == "--trace-out") {
-                require(i + 1 < argc,
-                        "--trace-out needs a file path");
-                tracePath_ = argv[++i];
-            } else if (arg == "--report-out") {
-                require(i + 1 < argc,
-                        "--report-out needs a file path");
-                reportPath_ = argv[++i];
-            } else if (arg == "--bench-out") {
-                require(i + 1 < argc,
-                        "--bench-out needs a file path");
-                benchPath_ = argv[++i];
-            } else if (arg == "--transcript-out") {
-                require(i + 1 < argc,
-                        "--transcript-out needs a file path");
-                transcriptPath_ = argv[++i];
-            } else {
-                fatal("unknown bench option '", arg,
-                      "' (supported: --golden-out <path>, "
-                      "--trace-out <path>, --report-out <path>, "
-                      "--bench-out <path>, --transcript-out "
-                      "<path>)");
-            }
+            std::string *target = flagTarget(arg);
+            if (target == nullptr)
+                usageError(argv[0],
+                           "unknown bench option '" + arg + "'");
+            if (i + 1 == argc)
+                usageError(argv[0], arg + " needs a file path");
+            *target = argv[++i];
         }
     }
 
@@ -139,6 +123,34 @@ class GoldenOut
     }
 
   private:
+    /** The member a path flag fills, or nullptr when unknown. */
+    std::string *
+    flagTarget(const std::string &arg)
+    {
+        if (arg == "--golden-out")
+            return &path_;
+        if (arg == "--trace-out")
+            return &tracePath_;
+        if (arg == "--report-out")
+            return &reportPath_;
+        if (arg == "--bench-out")
+            return &benchPath_;
+        if (arg == "--transcript-out")
+            return &transcriptPath_;
+        return nullptr;
+    }
+
+    /** A bad command line: message and flag list, then exit 2. */
+    [[noreturn]] static void
+    usageError(const char *program, const std::string &message)
+    {
+        std::cerr << program << ": " << message
+                  << "\nsupported flags: --golden-out <path>, "
+                     "--trace-out <path>, --report-out <path>, "
+                     "--bench-out <path>, --transcript-out <path>\n";
+        std::exit(2);
+    }
+
     std::string path_;
     std::string tracePath_;
     std::string reportPath_;

@@ -5,14 +5,15 @@
  * discrete-event engine's task throughput.  These quantify the claim
  * that AMPeD makes exhaustive design-space exploration practical
  * (one evaluation is microseconds; a full 360-mapping sweep is
- * milliseconds).
+ * milliseconds).  Every sweep benchmark evaluates its whole grid on
+ * each iteration: the Explorer keeps no result cache.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -29,6 +30,7 @@
 #include "net/system_config.hpp"
 #include "obs/json.hpp"
 #include "sim/training_sim.hpp"
+#include "testing/scalar_sweep.hpp"
 #include "validate/calibrations.hpp"
 
 namespace {
@@ -70,6 +72,10 @@ BM_EnumerateMappingSpace(benchmark::State &state)
 }
 BENCHMARK(BM_EnumerateMappingSpace);
 
+/**
+ * One serial sweepAll over the 360-mapping space at one batch size:
+ * mapping enumeration, kernel construction and the grid.
+ */
 void
 BM_FullSweep360Mappings(benchmark::State &state)
 {
@@ -94,9 +100,9 @@ sweepBatches()
 }
 
 /**
- * Parallel sweepAll at a fixed thread count (arg; 0 = AMPED_THREADS
- * or all cores).  Compare against BM_FullSweepParallel/1 for the
- * scaling curve.
+ * sweepAll over the 360 x 4 grid at a fixed thread count (arg; 0 =
+ * AMPED_THREADS or all cores).  Compare against
+ * BM_FullSweepParallel/1 for the scaling curve.
  */
 void
 BM_FullSweepParallel(benchmark::State &state)
@@ -115,9 +121,10 @@ BENCHMARK(BM_FullSweepParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(0)
     ->UseRealTime();
 
 /**
- * Serial-vs-parallel sweep on the same grid in one benchmark; the
- * "speedup" counter is the headline number (expect ~min(cores,
- * threads)x on a multi-core host, 1x where AMPED_THREADS=1).
+ * Serial-vs-parallel sweepAll on the same 360 x 4 grid in one
+ * benchmark; the "speedup" counter is the headline number.  Expect
+ * little speedup at this grid size (about 1.1x measured on a 4-core
+ * host): the parallel per-point work is a small part of the sweep.
  */
 void
 BM_ParallelSweepSpeedup(benchmark::State &state)
@@ -171,10 +178,10 @@ sweepGridMappings()
 }
 
 /**
- * Scalar-vs-batch sweep throughput on an *un-memoized* sweep
- * (Explorer::sweep; sweepAll would serve repeat iterations from its
- * result cache and measure a hash lookup instead of evaluation).
- * Arg 0 selects the engine (0 = scalar, 1 = batch), arg 1 the thread
+ * Sweep throughput of the production kernel against the scalar
+ * reference loop (testing::sweepJobsScalar) on the 5,760-point grid
+ * of sweepGridMappings() x 16 batch sizes.  Arg 0 selects the engine
+ * (0 = scalar reference, 1 = Explorer::sweepJobs), arg 1 the thread
  * cap (0 = AMPED_THREADS or all cores).  Items are grid points;
  * bytes are the EvaluationResult payload produced per point, so
  * items_per_second is directly comparable across engines.
@@ -182,24 +189,30 @@ sweepGridMappings()
 void
 BM_SweepEngineThroughput(benchmark::State &state)
 {
+    const bool kernel = state.range(0) != 0;
+    const auto threads = static_cast<unsigned>(state.range(1));
     explore::Explorer explorer(caseStudyModel());
-    explorer.setBatchMode(state.range(0) != 0);
-    explorer.setThreads(static_cast<unsigned>(state.range(1)));
-    static const std::vector<double> batches = [] {
-        std::vector<double> b;
-        b.reserve(16);
-        for (int i = 0; i < 16; ++i)
-            b.push_back(2048.0 + 512.0 * i);
-        return b;
+    explorer.setThreads(threads);
+    static const std::vector<core::TrainingJob> jobs = [] {
+        std::vector<core::TrainingJob> out;
+        out.reserve(16);
+        for (int i = 0; i < 16; ++i) {
+            core::TrainingJob job;
+            job.batchSize = 2048.0 + 512.0 * i;
+            job.totalTrainingTokens = 300e9;
+            out.push_back(job);
+        }
+        return out;
     }();
-    core::TrainingJob job;
-    job.batchSize = 8192.0;
-    job.totalTrainingTokens = 300e9;
 
     std::size_t points = 0;
     for (auto _ : state) {
         const auto sweep =
-            explorer.sweep(sweepGridMappings(), batches, job);
+            kernel ? explorer.sweepJobs(sweepGridMappings(), jobs)
+                   : testing::sweepJobsScalar(explorer.model(),
+                                              nullptr,
+                                              sweepGridMappings(),
+                                              jobs, threads);
         benchmark::DoNotOptimize(&sweep);
         points = sweep.entries.size() + sweep.skipped +
                  sweep.memorySkipped;
@@ -326,10 +339,26 @@ runGoldenMode(int argc, char **argv)
     return golden.finish();
 }
 
+/** The sweep-bench flags, printed with every usage error. */
+constexpr const char *kSweepBenchFlags =
+    "supported flags: --sweep-bench-out <path> (required), "
+    "--sweep-baseline <path>, --sweep-max-regression <fraction>, "
+    "--sweep-batches <count>, --sweep-threads <count>\n";
+
+/** A bad sweep-bench command line: message and flags, status 2. */
+int
+sweepBenchUsage(const std::string &message)
+{
+    std::fprintf(stderr, "perf_microbench: %s\n%s", message.c_str(),
+                 kSweepBenchFlags);
+    return 2;
+}
+
 /**
  * Sweep-throughput bench mode (the CI perf gate).  Runs the same
- * un-memoized (mapping x batch) grid through the scalar and the
- * batched engine, writes a machine-readable JSON record
+ * (mapping x batch) grid through the scalar reference loop
+ * (testing::sweepJobsScalar) and the production kernel
+ * (Explorer::sweepJobs), writes a machine-readable JSON record
  * (BENCH_sweep.json: grid size, threads, per-engine seconds /
  * items_per_sec / bytes_per_sec, batch-over-scalar speedup), and —
  * when a baseline file is given — fails if the speedup regressed by
@@ -358,29 +387,29 @@ runSweepBenchMode(int argc, char **argv)
     double max_regression = 0.30;
     std::size_t num_batches = 2800;
     unsigned threads = 0;
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg(argv[i]);
-        const char *value =
-            i + 1 < argc ? argv[i + 1] : nullptr;
-        if (arg == "--sweep-bench-out" && value)
-            out_path = argv[++i];
-        else if (arg == "--sweep-baseline" && value)
-            baseline_path = argv[++i];
-        else if (arg == "--sweep-max-regression" && value)
-            max_regression = amped::parseDouble(argv[++i]);
-        else if (arg == "--sweep-batches" && value)
-            num_batches = static_cast<std::size_t>(
-                std::strtoul(argv[++i], nullptr, 10));
-        else if (arg == "--sweep-threads" && value)
-            threads = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-        else {
-            std::fprintf(stderr,
-                         "perf_microbench: unknown sweep-bench "
-                         "argument '%s'\n",
-                         argv[i]);
-            return 2;
-        }
+    for (int i = 1; i < argc; i += 2) {
+        const std::string arg(argv[i]);
+        if (i + 1 == argc)
+            return sweepBenchUsage(arg + " needs a value");
+        const char *value = argv[i + 1];
+        double number = 0.0;
+        const bool numeric = amped::tryParseDouble(value, number);
+        const bool count = numeric && number >= 0.0 &&
+                           number == std::floor(number) &&
+                           number <= 1e9;
+        if (arg == "--sweep-bench-out")
+            out_path = value;
+        else if (arg == "--sweep-baseline")
+            baseline_path = value;
+        else if (arg == "--sweep-max-regression" && numeric)
+            max_regression = number;
+        else if (arg == "--sweep-batches" && count)
+            num_batches = static_cast<std::size_t>(number);
+        else if (arg == "--sweep-threads" && count)
+            threads = static_cast<unsigned>(number);
+        else
+            return sweepBenchUsage("bad sweep-bench argument '" +
+                                   arg + " " + value + "'");
     }
 
     const auto &mappings = sweepGridMappings();
@@ -394,6 +423,12 @@ runSweepBenchMode(int argc, char **argv)
 
     explore::Explorer explorer(caseStudyModel());
     explorer.setThreads(threads);
+    std::vector<core::TrainingJob> jobs;
+    jobs.reserve(batches.size());
+    for (const double batch : batches) {
+        jobs.push_back(job);
+        jobs.back().batchSize = batch;
+    }
 
     const std::size_t points = mappings.size() * batches.size();
     const double bytes_per_point =
@@ -402,9 +437,12 @@ runSweepBenchMode(int argc, char **argv)
     explore::SweepResult sweeps[2];
     double seconds[2] = {0.0, 0.0};
     for (int engine = 0; engine < 2; ++engine) {
-        explorer.setBatchMode(engine == 1);
         const auto t0 = clock::now();
-        sweeps[engine] = explorer.sweep(mappings, batches, job);
+        sweeps[engine] =
+            engine == 1
+                ? explorer.sweepJobs(mappings, jobs)
+                : testing::sweepJobsScalar(explorer.model(), nullptr,
+                                           mappings, jobs, threads);
         const auto t1 = clock::now();
         seconds[engine] =
             std::chrono::duration<double>(t1 - t0).count();
@@ -527,7 +565,7 @@ main(int argc, char **argv)
     }
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
+        return 2;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "case_study_util.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -45,18 +46,6 @@
 namespace {
 
 using namespace amped;
-
-/** FNV-1a 64-bit, the transcript fingerprint. */
-std::uint64_t
-fnv1a64(const std::string &data)
-{
-    std::uint64_t hash = 1469598103934665603ULL;
-    for (const unsigned char c : data) {
-        hash ^= c;
-        hash *= 1099511628211ULL;
-    }
-    return hash;
-}
 
 /** A tiny cluster description the sweeps enumerate quickly. */
 std::string

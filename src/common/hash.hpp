@@ -2,11 +2,11 @@
  * @file
  * FNV-1a 64-bit hashing (header-only).
  *
- * Used to key memoization caches on configuration state (e.g. the
- * `Explorer::sweepAll` result cache): the caller builds a canonical
- * description string of every input that influences the result and
- * hashes it.  FNV-1a is not cryptographic; cache users must verify
- * the full key on a hash hit to rule out collisions.
+ * A cheap, stable fingerprint of a byte string: the term keys of
+ * core::SweepTermCache, and the `serve_loadgen` response transcript
+ * pinned by its golden.  FNV-1a is not cryptographic; a cache keyed
+ * on it must verify the full key on a hash hit to rule out
+ * collisions.
  */
 
 #ifndef AMPED_COMMON_HASH_HPP

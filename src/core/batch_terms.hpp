@@ -18,7 +18,7 @@
  *
  * SweepTermCache deduplicates those inputs, computes each distinct
  * sum once (in parallel), and serves the results to the batched sweep
- * kernels (explore/batch.cpp) as O(1) array lookups.
+ * kernel (explore/sweep_kernel.cpp) as O(1) array lookups.
  *
  * Bit-exactness contract: every cached value is produced by the same
  * floating-point operations, in the same order, on the same inputs as

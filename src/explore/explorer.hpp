@@ -9,16 +9,16 @@
  * the mapping, pipeline deeper than the layer count), ranks the
  * rest, and renders report tables.
  *
- * Sweeps run in parallel on the shared ThreadPool: the (mapping x
- * job) grid is enumerated up front, each point is evaluated into a
- * slot indexed by its grid position, and the slots are reduced in
- * grid order afterwards — so entry order, skip counters, tables and
- * CSVs are byte-identical to a serial run at any thread count.
- * AmpedModel::evaluate and MemoryModel::fits are const and touch no
- * shared mutable state (audited: the only mutable member in the
- * library, hw::EfficiencyFitter::lastResidual_, is not reachable
- * from an evaluation), which is what makes the concurrent
- * evaluation of one shared model instance safe.
+ * Every sweep runs one engine, explore::SweepKernel
+ * (explore/sweep_kernel.hpp): the (mapping x job) grid is evaluated
+ * in blocks on the shared ThreadPool, each point into a slot indexed
+ * by its grid position, and the slots are reduced in grid order
+ * afterwards — so entry order, skip counters, tables and CSVs are
+ * byte-identical to a serial run at any thread count.
+ *
+ * The Explorer keeps no result cache: every call evaluates its grid.
+ * Repeat queries are answered by serve::SweepCacheLru in
+ * `amped serve`, the process's one result cache.
  */
 
 #ifndef AMPED_EXPLORE_EXPLORER_HPP
@@ -117,14 +117,7 @@ class Explorer
     /**
      * Evaluates the full mapping space of the model's system (every
      * intra x inter factorization), capped at a pipeline degree of
-     * the model's layer count.
-     *
-     * Results are memoized process-wide on the full configuration
-     * (model, accelerator, system, options, memory model, job, batch
-     * sizes): repeating an identical sweepAll call returns the cached
-     * result without re-evaluating the grid.  Cache hits do not
-     * re-emit per-point warnings.  Hit/miss totals are published as
-     * the `explore.sweep_cache.*` counters in the metrics registry.
+     * the model's layer count: enumerate the space, then sweep().
      */
     SweepResult sweepAll(const std::vector<double> &batch_sizes,
                          const core::TrainingJob &job_template) const;
@@ -153,24 +146,6 @@ class Explorer
 
     /** The installed cancellation token (inert by default). */
     const CancelToken &cancelToken() const { return token_; }
-
-    /**
-     * Selects the sweep evaluation engine.  true (the default) runs
-     * the batched structure-of-arrays kernels (explore/batch.hpp);
-     * false runs the historical scalar per-point loop.  The two
-     * engines are byte-identical — entries, counters, NaN pinning and
-     * warning lines — so this only trades wall clock; the scalar path
-     * is kept as the differential-testing reference and as an escape
-     * hatch.
-     *
-     * The construction-time default honours the AMPED_SWEEP_ENGINE
-     * environment variable: "scalar" starts Explorers on the scalar
-     * path, "batch" (or unset, or anything else) on the batched one.
-     */
-    void setBatchMode(bool batched) { batchMode_ = batched; }
-
-    /** True when sweeps run the batched SoA engine. */
-    bool batchMode() const { return batchMode_; }
 
     /**
      * The entry with the lowest total training time, if any.
@@ -202,15 +177,9 @@ class Explorer
     void clearMemoryModel() { memoryModel_.reset(); }
 
   private:
-    /** The historical per-point evaluation loop (reference engine). */
-    SweepResult sweepJobsScalar(
-        const std::vector<mapping::ParallelismConfig> &mappings,
-        const std::vector<core::TrainingJob> &jobs) const;
-
     core::AmpedModel model_;
     std::optional<core::MemoryModel> memoryModel_;
     unsigned threads_ = 0;
-    bool batchMode_;
     CancelToken token_;
 };
 

@@ -19,14 +19,15 @@
  *     Re-assembling them per point (scaled down by a 1e-9 relative
  *     margin to absorb floating-point reassociation) yields a lower
  *     bound on the point's total training time that never exceeds
- *     the batch engine's exact value (DESIGN.md "Branch-and-bound
+ *     the sweep kernel's exact value (DESIGN.md "Branch-and-bound
  *     over the additive model" proves admissibility).
  *  3. Best-first waves.  Surviving points are visited in ascending
  *     bound order in fixed-size waves: a point whose bound exceeds
  *     the current k-th best exact time is pruned; the rest are
- *     evaluated through the batched SoA kernel, bit-identically to
- *     Explorer::sweepAll.  Wave boundaries are independent of the
- *     thread count, so results AND counters are deterministic.
+ *     evaluated through the same SweepKernel that Explorer sweeps
+ *     run, so each value is bit-identical to Explorer::sweepAll's.
+ *     Wave boundaries are independent of the thread count, so
+ *     results AND counters are deterministic.
  *
  * The returned top-k is bit-pattern-identical to sorting the full
  * exhaustive sweep by (total time, grid index) and truncating —

@@ -1,13 +1,13 @@
 /**
  * @file
- * The shared per-point evaluation kernel behind the batched sweep
- * engine and the branch-and-bound strategy optimizer.
+ * The sweep engine: the one per-point evaluation kernel behind
+ * Explorer sweeps and the branch-and-bound strategy optimizer.
  *
- * explore/batch.hpp documents the batched structure-of-arrays sweep;
- * this header factors its machinery into a reusable object so that
- * explore/optimizer.hpp can evaluate *individual* surviving grid
- * points through the exact same code path.  A SweepKernel owns, for
- * one (mappings x jobs) grid:
+ * Calling core::AmpedModel::evaluate per grid point re-walks the
+ * per-layer op tables and re-prices every collective, although
+ * across a (mapping x job) grid almost all of that work is shared.
+ * A SweepKernel restructures the computation around the grid.  It
+ * owns, for one (mappings x jobs) grid:
  *
  *  1. The grid-constant tables: per-mapping facts (MappingInfo),
  *     per-job facts (JobInfo), and the (job x (dp, pp)-class) table
@@ -17,14 +17,21 @@
  *     model is constant and only the communication terms vary with
  *     the intra/inter split.
  *  2. A primed core::SweepTermCache serving every distinct per-layer
- *     sum as an O(1) lookup.
+ *     sum as an O(1) lookup (primed once, in parallel).
  *  3. The per-point evaluator that classifies a grid point as
  *     feasible / infeasible / over-memory / failed and assembles its
- *     core::EvaluationResult — bit-identical to the scalar
- *     AmpedModel::evaluate path (the contract in
- *     core/batch_terms.hpp), regardless of whether the point is
- *     reached by the full-grid block sweep (sweepGrid) or by an
- *     index list (evaluatePoints).
+ *     core::EvaluationResult into raw-double structure-of-arrays
+ *     columns, block by block, on the shared pool.  sweepGrid reduces
+ *     each block serially in grid order into a SweepResult;
+ *     evaluatePoints serves an index list.
+ *
+ * The result is byte-identical to evaluating every point through the
+ * scalar AmpedModel::evaluate — entry order and values, skip /
+ * memory-skip / failed counters, NaN pinning, and the grid-ordered
+ * warning lines — at every thread count (the contract in
+ * core/batch_terms.hpp).  testing::sweepJobsScalar is that scalar
+ * reference; tests/test_explore_batch.cpp holds the two to the same
+ * bytes over randomized grids.
  *
  * The class tables and the term cache are deliberately exposed
  * read-only: the optimizer's admissible lower bounds are assembled
@@ -36,6 +43,7 @@
 #ifndef AMPED_EXPLORE_SWEEP_KERNEL_HPP
 #define AMPED_EXPLORE_SWEEP_KERNEL_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -47,7 +55,22 @@
 namespace amped {
 namespace explore {
 
-/** Mirrors the scalar sweep's per-point classification. */
+/**
+ * Points per SoA block: caps column memory at a few megabytes, and —
+ * because sweepGrid calls CancelToken::checkpoint() exactly once per
+ * block — defines the cancellation granularity: a stopped sweep's
+ * result is always a whole number of blocks.
+ */
+inline constexpr std::size_t kSweepBlockPoints = std::size_t{1} << 16;
+
+/**
+ * A result with every numeric field pinned to NaN — the golden
+ * layer's marker for "this point has no value".  Failed points are
+ * degraded to it instead of aborting the sweep.
+ */
+core::EvaluationResult nanPinnedResult();
+
+/** How one grid point was classified. */
 enum class PointStatus : unsigned char
 {
     infeasible,
@@ -128,7 +151,7 @@ struct BlockColumns;
  * afterwards every member function is const and thread-safe.
  *
  * The mapping and job vectors are held by reference and must outlive
- * the kernel (both callers — sweepJobsBatched and the Optimizer —
+ * the kernel (both callers — Explorer::sweepJobs and the Optimizer —
  * own them for the duration of the search).
  */
 class SweepKernel
@@ -169,9 +192,8 @@ class SweepKernel
     };
 
     /**
-     * Evaluates the whole grid with the batched SoA block loop and
-     * reduces it in grid order — the engine behind sweepJobsBatched
-     * (see explore/batch.hpp for the byte-identity contract).
+     * Evaluates the whole grid with the SoA block loop and reduces
+     * it in grid order — the engine behind Explorer::sweepJobs.
      *
      * The construction token is checkpointed once before each block;
      * a stop returns the deterministic block-prefix (status /
@@ -259,7 +281,7 @@ class SweepKernel
     const std::vector<mapping::ParallelismConfig> &mappings_;
     const std::vector<core::TrainingJob> &jobs_;
 
-    // Model-option scalars hoisted once (names match batch.cpp).
+    // Model-option scalars hoisted once.
     double layersD_ = 0.0;
     double seqD_ = 0.0;
     double bwdCompute_ = 0.0;

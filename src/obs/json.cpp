@@ -340,10 +340,15 @@ class Parser
     {
         skipWhitespace();
         const char c = peek();
-        if (c == '{')
-            return parseObject();
-        if (c == '[')
-            return parseArray();
+        if (c == '{' || c == '[') {
+            if (depth_ == Json::kMaxParseDepth)
+                fatal("json: nesting deeper than ",
+                      Json::kMaxParseDepth, " levels at offset ", pos_);
+            ++depth_;
+            Json nested = c == '{' ? parseObject() : parseArray();
+            --depth_;
+            return nested;
+        }
         if (c == '"')
             return Json(parseString());
         if (consumeLiteral("null"))
@@ -512,6 +517,7 @@ class Parser
 
     const std::string &text_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0; ///< Open arrays/objects around pos_.
 };
 
 } // namespace

@@ -21,6 +21,7 @@
 #ifndef AMPED_OBS_JSON_HPP
 #define AMPED_OBS_JSON_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -98,7 +99,17 @@ class Json
      */
     std::string dump(int indent = 0) const;
 
-    /** Parses RFC 8259 text.  @throws UserError on malformed input. */
+    /**
+     * Deepest array/object nesting parse() accepts.  The parser is
+     * recursive, so the cap bounds its stack use: one request line
+     * of nested brackets must not overflow a server's stack.
+     */
+    static constexpr std::size_t kMaxParseDepth = 256;
+
+    /**
+     * Parses RFC 8259 text.  @throws UserError on malformed input or
+     * on nesting deeper than kMaxParseDepth.
+     */
     static Json parse(const std::string &text);
 
   private:

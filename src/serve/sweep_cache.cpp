@@ -86,8 +86,7 @@ void
 SweepCacheLru::evictToBudget()
 {
     // The budget is a handful of entries in practice; a linear LRU
-    // scan beats maintaining an intrusive list (same trade-off as
-    // the Explorer memo cache).
+    // scan beats maintaining an intrusive list.
     while (bytes_ > budgetBytes_ && !entries_.empty()) {
         auto lru = entries_.begin();
         for (auto it = entries_.begin(); it != entries_.end(); ++it)

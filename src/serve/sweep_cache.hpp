@@ -2,11 +2,11 @@
  * @file
  * Byte-budgeted LRU response cache shared across serve requests.
  *
- * The Explorer's process-wide sweepAll memo cache (explore/
- * explorer.cpp) is bounded by entry *count*; a service with a
- * latency SLO needs a *memory* bound instead, because one cached
- * 145b-scale sweep result dwarfs a thousand tiny ones.  This class
- * is the promoted form: it stores the serialized result JSON of
+ * This is the process's one result cache: the Explorer and the
+ * Optimizer keep none of their own, so every repeat query is
+ * answered here or re-evaluated.  The cache is bounded by *memory*,
+ * not entry count, because one cached 145b-scale sweep result dwarfs
+ * a thousand tiny ones.  It stores the serialized result JSON of
  * completed sweep / optimize requests keyed by a canonical request
  * string, accounts the exact byte size of every entry (key + value),
  * and evicts least-recently-used entries until the configured budget
@@ -17,8 +17,7 @@
  * stored string into the response envelope without re-rendering.
  * Only RunStatus::Completed results may be inserted — a cancelled
  * sweep's prefix is valid for its caller but would silently serve as
- * "the full grid" to the next one (the same rule the Explorer memo
- * cache enforces).
+ * "the full grid" to the next one.
  *
  * Thread safety: all operations take an internal mutex, so one cache
  * instance may be shared by a TCP accept loop and tests hammering it

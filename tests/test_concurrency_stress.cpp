@@ -1,15 +1,17 @@
 /**
  * @file
  * Concurrency stress tests for the shared-state surfaces that the
- * ThreadSanitizer CI job watches: the process-wide sweepAll
- * memoization cache, the metrics registry, and concurrent thread
- * pools sharing the global instrumentation counters.
+ * ThreadSanitizer CI job watches: concurrent sweepAll callers
+ * sharing the process-wide thread pool and the sweep metrics, the
+ * metrics registry, and concurrent thread pools sharing the global
+ * instrumentation counters.
  *
  * These tests pass trivially under a data-race-free implementation;
  * their value is the *interleavings* they force when the suite runs
- * under TSan (ci.yml `tsan` job, AMPED_THREADS=4): cache fill races
- * between identical keys, snapshot-during-write on the registry, and
- * counter updates from pools owned by different host threads.
+ * under TSan (ci.yml `tsan` job, AMPED_THREADS=4): sweeps from
+ * several host threads on one pool, snapshot-during-write on the
+ * registry, and counter updates from pools owned by different host
+ * threads.
  */
 
 #include <gtest/gtest.h>
@@ -64,16 +66,13 @@ stressJob()
 }
 
 /**
- * Several host threads issue the *same* sweepAll key at once.  The
- * first round races the cache-fill path (miss -> evaluate -> insert
- * under the same key from every thread); later rounds race lookups
- * against the insert.  Every caller must observe an identical grid.
+ * Several host threads issue the *same* sweepAll at once, so their
+ * blocks interleave on the shared pool.  Every caller must observe
+ * an identical grid.
  */
 TEST(ConcurrencyStressTest, ConcurrentSweepAllSameKeyAgree)
 {
     constexpr int kCallers = 4;
-    // A batch size no other test uses, so round one really does
-    // start from a cold cache entry and races the fill.
     const std::vector<double> batches{208.0};
 
     std::vector<explore::SweepResult> results(kCallers);
@@ -96,8 +95,8 @@ TEST(ConcurrencyStressTest, ConcurrentSweepAllSameKeyAgree)
         ASSERT_EQ(result.entries.size(), first.entries.size());
         EXPECT_EQ(result.skipped, first.skipped);
         for (std::size_t i = 0; i < first.entries.size(); ++i) {
-            // Bitwise equality: cached and freshly evaluated grids
-            // must be indistinguishable.
+            // Bitwise equality: concurrent sweeps must be
+            // indistinguishable.
             EXPECT_EQ(result.entries[i].result.totalTime,
                       first.entries[i].result.totalTime);
             EXPECT_EQ(result.entries[i].batchSize,
@@ -107,9 +106,8 @@ TEST(ConcurrencyStressTest, ConcurrentSweepAllSameKeyAgree)
 }
 
 /**
- * Distinct keys from concurrent callers: races insertions against
- * each other (rehash during lookup is the classic unordered_map
- * race) and, with enough keys, the capacity-eviction path.
+ * Distinct grids from concurrent callers: each result must agree bit
+ * for bit with the same sweepAll run alone afterwards.
  */
 TEST(ConcurrencyStressTest, ConcurrentSweepAllDistinctKeys)
 {
@@ -121,7 +119,7 @@ TEST(ConcurrencyStressTest, ConcurrentSweepAllDistinctKeys)
         callers.emplace_back([&, t] {
             explore::Explorer explorer(stressModel());
             explorer.setThreads(2);
-            // Unique batch size per caller -> unique cache key.
+            // Unique batch size per caller -> a distinct grid.
             const std::vector<double> batches{212.0 + 4.0 * t};
             results[static_cast<std::size_t>(t)] =
                 explorer.sweepAll(batches, stressJob());
@@ -135,6 +133,16 @@ TEST(ConcurrencyStressTest, ConcurrentSweepAllDistinctKeys)
         ASSERT_GT(result.entries.size(), 0u);
         for (const auto &entry : result.entries)
             EXPECT_EQ(entry.batchSize, 212.0 + 4.0 * t);
+
+        explore::Explorer alone(stressModel());
+        alone.setThreads(1);
+        const auto reference =
+            alone.sweepAll({212.0 + 4.0 * t}, stressJob());
+        ASSERT_EQ(result.entries.size(), reference.entries.size());
+        EXPECT_EQ(result.skipped, reference.skipped);
+        for (std::size_t i = 0; i < reference.entries.size(); ++i)
+            EXPECT_EQ(result.entries[i].result.totalTime,
+                      reference.entries[i].result.totalTime);
     }
 }
 
@@ -282,17 +290,13 @@ TEST(ConcurrencyStressTest, ConcurrentPoolsFromDistinctOwners)
  * Cancellation soak: concurrent sweepAll callers share children of
  * one token while another thread trips it mid-flight.  Under TSan
  * this races the token's latch against checkpoint polls from every
- * pool worker *and* races the memo cache's "never cache a stopped
- * result" path against concurrent fills.  Whatever the
- * interleaving, each caller must end in a consistent state, and a
- * final clean call must prove no stopped result leaked into the
- * cache.
+ * pool worker.  Whatever the interleaving, each caller must end in a
+ * consistent state, and a final clean call must still run the full
+ * grid.
  */
 TEST(ConcurrencyStressTest, ConcurrentSweepAllRacingSharedCancel)
 {
     constexpr int kCallers = 4;
-    // A batch size no other test uses -> a cold cache key that the
-    // cancelled and surviving callers fight over.
     const std::vector<double> batches{216.0};
 
     const CancelToken parent = CancelToken::make();
@@ -325,7 +329,6 @@ TEST(ConcurrencyStressTest, ConcurrentSweepAllRacingSharedCancel)
             EXPECT_EQ(result.status, RunStatus::Cancelled);
     }
 
-    // The cache must serve only Completed grids afterwards.
     explore::Explorer clean_explorer(stressModel());
     clean_explorer.setThreads(2);
     const explore::SweepResult clean =

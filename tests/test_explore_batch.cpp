@@ -1,9 +1,10 @@
 /**
  * @file
- * Differential tests of the batched SoA sweep engine
- * (explore/batch.hpp) against the scalar reference loop.
+ * Differential tests of the sweep kernel (explore/sweep_kernel.hpp,
+ * reached through Explorer::sweepJobs) against the scalar reference
+ * loop (testing/scalar_sweep.hpp).
  *
- * The batch engine's contract is *byte*-identity, not approximate
+ * The kernel's contract is *byte*-identity, not approximate
  * agreement: entries in the same order, every result field with the
  * same bit pattern (including the NaN pinning of failed points),
  * the same skip/memory/failed counters, and the same warning lines
@@ -25,10 +26,11 @@
 #include <vector>
 
 #include "core/memory_model.hpp"
-#include "explore/batch.hpp"
 #include "explore/explorer.hpp"
+#include "explore/sweep_kernel.hpp"
 #include "hw/presets.hpp"
 #include "model/presets.hpp"
+#include "testing/scalar_sweep.hpp"
 
 namespace amped {
 namespace explore {
@@ -95,8 +97,9 @@ entryBits(const SweepEntry &entry)
 }
 
 /**
- * Runs one (mappings x jobs) grid through the given engine at the
- * given thread cap, capturing the warning stream.
+ * Runs one (mappings x jobs) grid through the kernel (batched) or
+ * the scalar reference at the given thread cap, capturing the
+ * warning stream.
  */
 SweepResult
 runEngine(const core::AmpedModel &model,
@@ -107,13 +110,16 @@ runEngine(const core::AmpedModel &model,
           std::string &stderr_text)
 {
     Explorer explorer(model);
-    explorer.setBatchMode(batched);
     explorer.setThreads(threads);
     if (screen != nullptr)
         explorer.setMemoryModel(*screen);
-    testing::internal::CaptureStderr();
-    const auto result = explorer.sweepJobs(mappings, jobs);
-    stderr_text = testing::internal::GetCapturedStderr();
+    ::testing::internal::CaptureStderr();
+    const auto result =
+        batched ? explorer.sweepJobs(mappings, jobs)
+                : amped::testing::sweepJobsScalar(model, screen,
+                                                  mappings, jobs,
+                                                  threads);
+    stderr_text = ::testing::internal::GetCapturedStderr();
     return result;
 }
 
@@ -236,20 +242,6 @@ TEST(ExploreBatchProperty, RandomGridsAreByteIdenticalAcrossEnginesAndThreads)
     EXPECT_GT(total_skipped, 0u);
     EXPECT_GT(total_memory, 0u);
     EXPECT_GT(total_failed, 0u);
-}
-
-TEST(ExploreBatchTest, EnvironmentVariableSelectsEngineDefault)
-{
-    // The ctor default honours AMPED_SWEEP_ENGINE; the setter wins
-    // afterwards.  (The env var is read at construction, so this
-    // only checks the programmatic contract — the env path is
-    // covered by the scalar-engine CI run.)
-    Explorer explorer(tinyModel());
-    const bool initial = explorer.batchMode();
-    explorer.setBatchMode(!initial);
-    EXPECT_EQ(explorer.batchMode(), !initial);
-    explorer.setBatchMode(initial);
-    EXPECT_EQ(explorer.batchMode(), initial);
 }
 
 TEST(ExploreBatchTest, NanPinnedResultIsAllNaN)

@@ -1,7 +1,8 @@
 /**
  * @file
  * End-to-end cancellation tests for the long-running evaluation
- * surfaces: Explorer sweeps (both engines), the branch-and-bound
+ * surfaces: Explorer sweeps (and the scalar reference sweep), the
+ * branch-and-bound
  * optimizer, the resilience Monte-Carlo, and the simulator schedule
  * entry checkpoints.  The load-bearing property throughout is the
  * determinism contract of common/cancel.hpp: a stopped run's partial
@@ -21,15 +22,16 @@
 #include "common/cancel.hpp"
 #include "common/thread_pool.hpp"
 #include "core/resilience.hpp"
-#include "explore/batch.hpp"
 #include "explore/explorer.hpp"
 #include "explore/optimizer.hpp"
+#include "explore/sweep_kernel.hpp"
 #include "hw/presets.hpp"
 #include "mapping/parallelism.hpp"
 #include "model/presets.hpp"
 #include "net/system_config.hpp"
 #include "obs/metrics.hpp"
 #include "sim/training_sim.hpp"
+#include "testing/scalar_sweep.hpp"
 
 namespace amped {
 namespace {
@@ -67,6 +69,30 @@ cancelJob()
     return job;
 }
 
+/**
+ * Sweeps (mappings x batches) under @p token through the production
+ * kernel (Explorer::sweep) or, when !batched, the scalar reference.
+ */
+explore::SweepResult
+runSweep(bool batched, unsigned threads, const CancelToken &token,
+         const std::vector<mapping::ParallelismConfig> &mappings,
+         const std::vector<double> &batches)
+{
+    if (!batched) {
+        std::vector<core::TrainingJob> jobs;
+        for (const double batch : batches) {
+            jobs.push_back(cancelJob());
+            jobs.back().batchSize = batch;
+        }
+        return testing::sweepJobsScalar(cancelModel(), nullptr,
+                                        mappings, jobs, threads, token);
+    }
+    explore::Explorer explorer(cancelModel());
+    explorer.setThreads(threads);
+    explorer.setCancelToken(token);
+    return explorer.sweep(mappings, batches, cancelJob());
+}
+
 /** The two results agree bit-for-bit on the first @p n entries. */
 void
 expectEntryPrefixEqual(const std::vector<explore::SweepEntry> &full,
@@ -94,8 +120,8 @@ expectEntryPrefixEqual(const std::vector<explore::SweepEntry> &full,
 /**
  * A sweep tripped at the second block checkpoint stops with exactly
  * one SoA block visited, and its entries/counters are bit-identical
- * to the same prefix of the full run — on both engines, at thread
- * counts 1, 2, and 8.
+ * to the same prefix of the full run — on the kernel and the scalar
+ * reference, at thread counts 1, 2, and 8.
  */
 TEST(ExplorerCancelTest, TrippedSweepIsDeterministicPrefixOfFullRun)
 {
@@ -110,11 +136,8 @@ TEST(ExplorerCancelTest, TrippedSweepIsDeterministicPrefixOfFullRun)
         batches.push_back(256.0 + 8.0 * batches.size());
     const std::size_t total = mappings.size() * batches.size();
 
-    explore::Explorer full_explorer(cancelModel());
-    full_explorer.setThreads(4);
-    full_explorer.setBatchMode(true);
     const explore::SweepResult full =
-        full_explorer.sweep(mappings, batches, cancelJob());
+        runSweep(true, 4, CancelToken(), mappings, batches);
     ASSERT_EQ(full.status, RunStatus::Completed);
     ASSERT_EQ(full.visitedPoints, total);
     ASSERT_EQ(full.cancelledUnvisited, 0u);
@@ -127,12 +150,8 @@ TEST(ExplorerCancelTest, TrippedSweepIsDeterministicPrefixOfFullRun)
             const CancelToken token = CancelToken::make();
             token.tripAfterCheckpoints(2);
 
-            explore::Explorer explorer(cancelModel());
-            explorer.setThreads(threads);
-            explorer.setBatchMode(batched);
-            explorer.setCancelToken(token);
             const explore::SweepResult part =
-                explorer.sweep(mappings, batches, cancelJob());
+                runSweep(batched, threads, token, mappings, batches);
 
             EXPECT_EQ(part.status, RunStatus::Cancelled);
             // The first block checkpoint passed, the second tripped:
@@ -172,12 +191,8 @@ TEST(ExplorerCancelTest, DeadlineStopRecordsOneLatencyObservation)
             CancelToken::make(Deadline::after(1.0, clock), &registry);
         clock.set(1.25); // Expired 0.25 s ago by the injected clock.
 
-        explore::Explorer explorer(cancelModel());
-        explorer.setThreads(2);
-        explorer.setBatchMode(batched);
-        explorer.setCancelToken(token);
         const explore::SweepResult part =
-            explorer.sweep(mappings, batches, cancelJob());
+            runSweep(batched, 2, token, mappings, batches);
 
         EXPECT_EQ(part.status, RunStatus::DeadlineExceeded);
         EXPECT_EQ(part.visitedPoints, 0u);
@@ -262,13 +277,11 @@ TEST(OptimizerCancelTest, BestSoFarIsDeterministicAcrossThreadCounts)
 }
 
 /**
- * sweepAll never memoizes a stopped result: a cancelled call under a
- * key must not poison the cache, and the next identical call runs
- * the full grid.
+ * A stopped sweepAll leaves nothing behind: the next identical calls
+ * run the full grid and agree with each other bit for bit.
  */
 TEST(ExplorerCancelTest, SweepAllDoesNotCacheStoppedResults)
 {
-    // A batch size no other test uses, so this key starts cold.
     const std::vector<double> batches{193.0};
 
     explore::Explorer explorer(cancelModel());
@@ -292,13 +305,11 @@ TEST(ExplorerCancelTest, SweepAllDoesNotCacheStoppedResults)
     EXPECT_GT(clean.visitedPoints, 0u);
     EXPECT_EQ(clean.cancelledUnvisited, 0u);
 
-    // And the Completed result (not the stopped one) is what the
-    // cache now serves.
-    const explore::SweepResult cached =
+    const explore::SweepResult again =
         explorer.sweepAll(batches, cancelJob());
-    EXPECT_EQ(cached.status, RunStatus::Completed);
-    EXPECT_EQ(cached.visitedPoints, clean.visitedPoints);
-    expectEntryPrefixEqual(clean.entries, cached.entries,
+    EXPECT_EQ(again.status, RunStatus::Completed);
+    EXPECT_EQ(again.visitedPoints, clean.visitedPoints);
+    expectEntryPrefixEqual(clean.entries, again.entries,
                            clean.entries.size());
 }
 

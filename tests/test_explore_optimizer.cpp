@@ -118,7 +118,6 @@ bruteForceTopK(const core::AmpedModel &model,
                const core::TrainingJob &job_template, std::size_t k)
 {
     Explorer explorer(model);
-    explorer.setBatchMode(true);
     explorer.setThreads(1);
     if (screen != nullptr)
         explorer.setMemoryModel(*screen);

@@ -6,12 +6,26 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/error.hpp"
 #include "hw/accelerator.hpp"
 #include "hw/presets.hpp"
 
 namespace amped {
 namespace hw {
+
+/**
+ * Prints a preset by name. gtest's default printer dumps the raw
+ * object bytes, which include heap addresses, so the parameterised
+ * test names would differ on every discovery run.
+ */
+static void
+PrintTo(const AcceleratorConfig &cfg, std::ostream *os)
+{
+    *os << cfg.name;
+}
+
 namespace {
 
 TEST(AcceleratorTest, A100PeakMatchesTableIV)

@@ -6,12 +6,26 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/error.hpp"
 #include "model/presets.hpp"
 #include "model/transformer_config.hpp"
 
 namespace amped {
 namespace model {
+
+/**
+ * Prints a preset by name. gtest's default printer dumps the raw
+ * object bytes, which include heap addresses, so the parameterised
+ * test names would differ on every discovery run.
+ */
+static void
+PrintTo(const TransformerConfig &cfg, std::ostream *os)
+{
+    *os << cfg.name;
+}
+
 namespace {
 
 TEST(TransformerConfigTest, FactoryProducesValidConfig)

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <limits>
+#include <string>
 
 #include "common/error.hpp"
 #include "obs/json.hpp"
@@ -152,6 +154,59 @@ TEST(ObsJsonTest, ParseRejectsMalformedInput)
     EXPECT_THROW(Json::parse("1 2"), UserError);       // trailing junk
     EXPECT_THROW(Json::parse("'single'"), UserError);
     EXPECT_THROW(Json::parse("{\"a\":1,\"a\":2}"), UserError);
+}
+
+/** @p depth nested arrays around one number. */
+std::string
+nestedArrays(std::size_t depth)
+{
+    return std::string(depth, '[') + "7" + std::string(depth, ']');
+}
+
+/** The message of the UserError parse(@p text) raises, or "". */
+std::string
+parseError(const std::string &text)
+{
+    try {
+        Json::parse(text);
+    } catch (const UserError &error) {
+        return error.what();
+    }
+    return "";
+}
+
+TEST(ObsJsonTest, ParseAcceptsNestingAtTheCap)
+{
+    const Json parsed = Json::parse(nestedArrays(Json::kMaxParseDepth));
+    const Json *inner = &parsed;
+    for (std::size_t level = 1; level < Json::kMaxParseDepth; ++level)
+        inner = &inner->at(std::size_t{0});
+    EXPECT_EQ(inner->at(std::size_t{0}).asInt(), 7);
+}
+
+TEST(ObsJsonTest, ParseRejectsNestingPastTheCap)
+{
+    // The 257th opening bracket sits at offset 256.
+    const std::string message =
+        parseError(nestedArrays(Json::kMaxParseDepth + 1));
+    EXPECT_NE(message.find("nesting deeper than 256 levels at offset "
+                           "256"),
+              std::string::npos)
+        << message;
+    // Objects count toward the same depth as arrays.
+    std::string objects;
+    for (std::size_t i = 0; i <= Json::kMaxParseDepth; ++i)
+        objects += "{\"a\":";
+    objects += "1" + std::string(Json::kMaxParseDepth + 1, '}');
+    EXPECT_NE(parseError(objects).find("nesting deeper than"),
+              std::string::npos);
+}
+
+TEST(ObsJsonTest, ParseRejectsMebibyteOfOpenBrackets)
+{
+    EXPECT_NE(parseError(std::string(std::size_t{1} << 20, '['))
+                  .find("nesting deeper than"),
+              std::string::npos);
 }
 
 TEST(ObsJsonTest, LargeUnsignedDegradesToDouble)

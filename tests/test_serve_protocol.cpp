@@ -175,6 +175,31 @@ TEST(ServeProtocolTest, OversizedBodyRejectedWithoutDying)
               "ok");
 }
 
+TEST(ServeProtocolTest, DeeplyNestedLineIsAnErrorNotACrash)
+{
+    // The parser is recursive: without its nesting cap, 50,000
+    // nested arrays overflow the stack and kill every connection.
+    Harness harness;
+    std::istringstream in(std::string(50000, '[') + "\n" +
+                          "{\"id\":2,\"method\":\"ping\"}\n");
+    std::ostringstream out;
+    EXPECT_EQ(harness.server.serveStream(in, out),
+              RunStatus::Completed);
+    std::istringstream lines(out.str());
+    std::string line;
+    ASSERT_TRUE(std::getline(lines, line));
+    const obs::Json error = obs::Json::parse(line);
+    EXPECT_EQ(error.at("status").asString(), "error");
+    EXPECT_EQ(error.at("id").kind(), obs::Json::Kind::null);
+    EXPECT_NE(error.at("error").at("message").asString().find(
+                  "nesting deeper than"),
+              std::string::npos);
+    ASSERT_TRUE(std::getline(lines, line));
+    const obs::Json pong = obs::Json::parse(line);
+    EXPECT_EQ(pong.at("status").asString(), "ok");
+    EXPECT_EQ(pong.at("id").asInt(), 2);
+}
+
 TEST(ServeProtocolTest, FieldNamedDiagnosticsFromConfigIo)
 {
     Harness harness;
@@ -309,16 +334,13 @@ TEST(ServeProtocolTest, CancelledSweepFlushesPartialResult)
     harness.server.setCancelToken(root);
     root.cancel();
 
-    // A batch size no other test (or the loadgen) sweeps, so the
-    // Explorer's process-wide memo cache cannot already hold a
-    // Completed grid for this key.
     const obs::Json response = harness.one(
         "{\"id\":21,\"method\":\"sweep\",\"params\":{\"model\":"
         "\"145b\",\"nodes\":2,\"per-node\":2,\"batch\":640,"
         "\"top\":3}}");
     ASSERT_EQ(response.at("status").asString(), "ok");
     EXPECT_EQ(response.at("run_status").asString(), "cancelled");
-    // A cancelled sweep is never memoized: repeating it after the
+    // A cancelled sweep is never cached: repeating it after the
     // token recovers must re-evaluate (miss), not replay the stub.
     EXPECT_EQ(harness.server.cache().size(), 0u);
 }
