@@ -16,8 +16,13 @@
  *              all cores; the ranking is identical either way)
  */
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "common/parse_num.hpp"
@@ -31,10 +36,12 @@
 
 namespace {
 
-amped::model::TransformerConfig
+std::optional<amped::model::TransformerConfig>
 pickModel(const std::string &name)
 {
     using namespace amped::model::presets;
+    if (name == "145B")
+        return megatron145B();
     if (name == "310B")
         return megatron310B();
     if (name == "530B")
@@ -43,7 +50,34 @@ pickModel(const std::string &name)
         return megatron1T();
     if (name == "gpt3")
         return gpt3_175B();
-    return megatron145B();
+    return std::nullopt;
+}
+
+/** Reads the whole of @p text as an integer >= @p min. */
+bool
+parseCount(const char *text, std::int64_t min, std::int64_t &out)
+{
+    const char *end = text + std::strlen(text);
+    std::int64_t value = 0;
+    const auto result = std::from_chars(text, end, value);
+    if (result.ec != std::errc() || result.ptr != end || value < min)
+        return false;
+    out = value;
+    return true;
+}
+
+/** A bad positional argument: its name and text, then the usage. */
+int
+badArgument(const char *name, const char *text)
+{
+    std::cerr << "parallelism_explorer: bad " << name << " '" << text
+              << "'\n"
+              << "usage: parallelism_explorer [model] [batch] [nodes] "
+                 "[accs_per_node] [top_k] [threads]\n"
+                 "  model: 145B | 310B | 530B | 1T | gpt3; batch: a "
+                 "positive number; nodes, accs_per_node: integers >= "
+                 "1; top_k, threads: integers >= 0\n";
+    return 2;
 }
 
 } // namespace
@@ -54,15 +88,30 @@ main(int argc, char **argv)
     using namespace amped;
 
     const std::string model_name = argc > 1 ? argv[1] : "145B";
-    const double batch = argc > 2 ? amped::parseDouble(argv[2]) : 8192.0;
-    const std::int64_t nodes = argc > 3 ? std::atoll(argv[3]) : 128;
-    const std::int64_t per_node = argc > 4 ? std::atoll(argv[4]) : 8;
-    const std::size_t top_k =
-        argc > 5 ? static_cast<std::size_t>(std::atoll(argv[5])) : 10;
-    const unsigned threads =
-        argc > 6 ? static_cast<unsigned>(std::atoll(argv[6])) : 0;
+    const auto picked = pickModel(model_name);
+    if (!picked)
+        return badArgument("model", argv[1]);
+    double batch = 8192.0;
+    if (argc > 2 && (!tryParseDouble(argv[2], batch) ||
+                     !std::isfinite(batch) || batch <= 0.0))
+        return badArgument("batch", argv[2]);
+    std::int64_t nodes = 128;
+    if (argc > 3 && !parseCount(argv[3], 1, nodes))
+        return badArgument("nodes", argv[3]);
+    std::int64_t per_node = 8;
+    if (argc > 4 && !parseCount(argv[4], 1, per_node))
+        return badArgument("accs_per_node", argv[4]);
+    std::int64_t top_k = 10;
+    if (argc > 5 && !parseCount(argv[5], 0, top_k))
+        return badArgument("top_k", argv[5]);
+    std::int64_t threads = 0;
+    if (argc > 6 && (!parseCount(argv[6], 0, threads) ||
+                     threads > std::numeric_limits<unsigned>::max()))
+        return badArgument("threads", argv[6]);
+    if (argc > 7)
+        return badArgument("extra argument", argv[7]);
 
-    const auto model_cfg = pickModel(model_name);
+    const auto &model_cfg = *picked;
 
     net::SystemConfig system;
     system.name = std::to_string(nodes) + "x" +
@@ -79,7 +128,7 @@ main(int argc, char **argv)
             validate::calibrations::caseStudy1(), system,
             validate::calibrations::caseStudyOptions());
         explore::Explorer explorer(amped);
-        explorer.setThreads(threads);
+        explorer.setThreads(static_cast<unsigned>(threads));
 
         core::TrainingJob job;
         job.batchSize = batch;
@@ -92,8 +141,8 @@ main(int argc, char **argv)
                   << sweep.skipped << " skipped (batch too small)\n\n";
 
         explore::Explorer::sortByTime(sweep.entries);
-        if (sweep.entries.size() > top_k)
-            sweep.entries.resize(top_k);
+        if (sweep.entries.size() > static_cast<std::size_t>(top_k))
+            sweep.entries.resize(static_cast<std::size_t>(top_k));
         std::cout << "top " << sweep.entries.size()
                   << " mappings by training time:\n"
                   << explore::sweepTable(sweep.entries) << '\n';

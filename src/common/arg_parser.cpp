@@ -48,8 +48,8 @@ ArgParser::parse(const std::vector<std::string> &args)
             continue;
         }
         const auto it = options_.find(name);
-        require(it != options_.end(), "unknown option --", name,
-                "\n", helpText());
+        if (it == options_.end())
+            fatal("unknown option --", name, "\n", helpText());
         require(i + 1 < args.size(), "option --", name,
                 " needs a value");
         values_[name] = args[++i];

@@ -50,6 +50,12 @@ MemoryModel::MemoryModel(model::OpCounter counter,
             "optimizerBytesPerParam must be non-negative");
     require(options_.workspaceBytes >= 0.0,
             "workspaceBytes must be non-negative");
+    // Expert banks are sharded across the cluster, so a device holds
+    // ~1/E of each expert bank's weights (mirroring
+    // OpCounter::gradientsPerLayer).
+    const auto &cfg = counter_.config();
+    for (std::int64_t l = 0; l < cfg.numLayers; ++l)
+        layerParameters_ += counter_.gradientsPerLayer(l);
 }
 
 double
@@ -58,14 +64,9 @@ MemoryModel::residentParameters(
 {
     const auto &cfg = counter_.config();
     // Layer weights are sharded across TP ranks; the layer stack is
-    // split across PP stages; expert banks are sharded across the
-    // cluster, so a device holds ~1/E of each expert bank's weights
-    // (mirroring OpCounter::gradientsPerLayer).
-    double total = 0.0;
-    for (std::int64_t l = 0; l < cfg.numLayers; ++l)
-        total += counter_.gradientsPerLayer(l);
-    double resident =
-        total / static_cast<double>(mapping.tp() * mapping.pp());
+    // split across PP stages.
+    double resident = layerParameters_ /
+                      static_cast<double>(mapping.tp() * mapping.pp());
     // Embeddings live on the first/last stage; amortize per device.
     resident += static_cast<double>(cfg.vocabSize + cfg.seqLength) *
                 static_cast<double>(cfg.hiddenSize) /

@@ -155,6 +155,13 @@ class MemoryModel
     model::OpCounter counter_;
     hw::AcceleratorConfig accel_;
     MemoryOptions options_;
+
+    /**
+     * Sum of OpCounter::gradientsPerLayer over every layer: the
+     * unsharded layer parameters.  Summed once at construction,
+     * since footprint() runs once per screened grid point.
+     */
+    double layerParameters_ = 0.0;
 };
 
 } // namespace core

@@ -30,10 +30,9 @@ PipelineSchedule::validate() const
     require(interleaveDegree >= 1,
             "pipeline schedule: interleave degree must be >= 1, got ",
             interleaveDegree);
-    if (kind != PipelineScheduleKind::interleaved) {
-        require(interleaveDegree == 1, "pipeline schedule: ",
-                name(), " does not take an interleave degree");
-    }
+    if (kind != PipelineScheduleKind::interleaved && interleaveDegree != 1)
+        fatal("pipeline schedule: ", name(),
+              " does not take an interleave degree");
 }
 
 double

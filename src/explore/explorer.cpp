@@ -182,10 +182,10 @@ sweepCsv(const std::vector<SweepEntry> &entries)
             units::formatFixed(
                 e.result.achievedFlopsPerGpu / units::tera, 3)};
         const auto entry_phases = e.result.perBatch.phases();
-        require(entry_phases.size() == reference_phases.size(),
-                "sweepCsv: entry for ", e.mapping.toString(),
-                " has ", entry_phases.size(), " phases, header has ",
-                reference_phases.size());
+        if (entry_phases.size() != reference_phases.size())
+            fatal("sweepCsv: entry for ", e.mapping.toString(), " has ",
+                  entry_phases.size(), " phases, header has ",
+                  reference_phases.size());
         for (std::size_t i = 0; i < entry_phases.size(); ++i) {
             require(entry_phases[i].first == reference_phases[i].first,
                     "sweepCsv: phase mismatch at column ", i, ": '",

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -892,6 +893,11 @@ Server::serveTcp(std::uint16_t port)
         const int client_fd = ::accept(listen_fd, nullptr, nullptr);
         if (client_fd < 0)
             continue;
+        // Send each response as soon as it is written: with Nagle's
+        // algorithm on, a small response waits for the client's
+        // delayed acknowledgement of the previous one.
+        ::setsockopt(client_fd, IPPROTO_TCP, TCP_NODELAY, &one,
+                     sizeof(one));
 
         std::string buffer;
         char chunk[4096];

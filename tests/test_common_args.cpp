@@ -109,8 +109,10 @@ TEST(ArgParserTest, DiagnosticsNameTheProblem)
               std::string::npos)
         << unknown;
     // The unknown-option message embeds the help text so the user
-    // sees what *is* accepted.
+    // sees what *is* accepted.  It is built only when the option is
+    // unknown; pin the full text.
     EXPECT_NE(unknown.find("--batch"), std::string::npos) << unknown;
+    EXPECT_EQ(unknown, "unknown option --nope\n" + parser.helpText());
 
     EXPECT_NE(diagnosticOf([&] { parser.parse({"--batch"}); })
                   .find("option --batch needs a value"),

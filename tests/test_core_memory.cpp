@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/units.hpp"
 #include "core/memory_model.hpp"
 #include "hw/presets.hpp"
 #include "model/presets.hpp"
@@ -167,6 +171,63 @@ TEST(MemoryModelTest, MoEExpertsShardAcrossCluster)
     const double resident_params = fp.parameterBytes / 2.0; // fp16
     EXPECT_LT(resident_params,
               model::presets::glamMoE().parameterCount() / 100.0);
+}
+
+// footprint() reads the layer-parameter sum the constructor stores;
+// it must equal the per-layer sum recomputed here, bit for bit, for
+// every mapping and ZeRO stage, dense and mixture-of-experts alike.
+TEST(MemoryModelTest, FootprintMatchesPerLayerRecomputationExactly)
+{
+    const std::vector<mapping::ParallelismConfig> mappings = {
+        mapping::makeMapping(1, 1, 1, 1, 1, 1),
+        mapping::makeMapping(8, 1, 1, 1, 2, 64),
+        mapping::makeMapping(2, 2, 2, 1, 4, 8),
+        mapping::makeMapping(1, 1, 8, 1, 1, 128),
+        mapping::makeMapping(4, 1, 2, 2, 8, 3),
+    };
+    const auto accel = hw::presets::a100();
+    const double param_bytes_each =
+        accel.precisions.parameterBits.value() / units::bitsPerByte;
+    for (const auto &preset :
+         {model::presets::megatron145B(), model::presets::glamMoE()}) {
+        const model::OpCounter counter(preset);
+        double layers = 0.0;
+        for (std::int64_t l = 0; l < preset.numLayers; ++l)
+            layers += counter.gradientsPerLayer(l);
+        for (const ZeroStage stage :
+             {ZeroStage::none, ZeroStage::optimizer,
+              ZeroStage::gradients, ZeroStage::parameters}) {
+            MemoryOptions options;
+            options.zeroStage = stage;
+            const MemoryModel mm(counter, accel, options);
+            for (const auto &m : mappings) {
+                SCOPED_TRACE(preset.name + " " + zeroStageName(stage) +
+                             " " + m.toString());
+                const double shards = static_cast<double>(m.tp() * m.pp());
+                double params = layers / shards;
+                params += static_cast<double>(preset.vocabSize +
+                                              preset.seqLength) *
+                          static_cast<double>(preset.hiddenSize) / shards;
+                const double dp = static_cast<double>(m.dp());
+                double param_bytes = params * param_bytes_each;
+                double grad_bytes = params * param_bytes_each;
+                double optimizer_bytes =
+                    params * options.optimizerBytesPerParam;
+                if (stage == ZeroStage::parameters)
+                    param_bytes /= dp;
+                if (stage == ZeroStage::parameters ||
+                    stage == ZeroStage::gradients)
+                    grad_bytes /= dp;
+                if (stage != ZeroStage::none)
+                    optimizer_bytes /= dp;
+
+                const auto fp = mm.footprint(m, 8192.0, 1.0);
+                EXPECT_EQ(fp.parameterBytes, param_bytes);
+                EXPECT_EQ(fp.gradientBytes, grad_bytes);
+                EXPECT_EQ(fp.optimizerBytes, optimizer_bytes);
+            }
+        }
+    }
 }
 
 TEST(MemoryModelTest, RejectsBadArguments)

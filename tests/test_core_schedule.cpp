@@ -88,6 +88,22 @@ TEST(PipelineScheduleTest, ValidationRejectsBadDegrees)
     EXPECT_THROW(inter.activationsInFlight(4, 0.5), UserError);
 }
 
+// The degree check builds its message only when it fails; this pins
+// the full text.
+TEST(PipelineScheduleTest, DegreeMessageIsExact)
+{
+    PipelineSchedule ofob;
+    ofob.kind = PipelineScheduleKind::oneFOneB;
+    ofob.interleaveDegree = 3;
+    try {
+        ofob.validate();
+        ADD_FAILURE() << "expected a UserError";
+    } catch (const UserError &error) {
+        EXPECT_STREQ(error.what(), "pipeline schedule: 1F1B does not "
+                                   "take an interleave degree");
+    }
+}
+
 TEST(PipelineScheduleTest, ApplyScheduleSetsOptions)
 {
     ModelOptions options;

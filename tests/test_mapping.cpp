@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "common/error.hpp"
 #include "mapping/parallelism.hpp"
@@ -93,6 +94,60 @@ TEST(MicrobatchingTest, RejectsSubUnitMicrobatch)
     const auto cfg = makeMapping(1, 4, 4, 1, 1, 1); // DP*PP = 16
     EXPECT_THROW(mb.microbatchSize(8.0, cfg), UserError);
     EXPECT_THROW(mb.microbatchSize(0.0, cfg), UserError);
+}
+
+/** The UserError text @p fn throws; a test failure when it throws none. */
+template <typename Fn>
+std::string
+userErrorOf(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const UserError &error) {
+        return error.what();
+    }
+    ADD_FAILURE() << "expected a UserError";
+    return "";
+}
+
+// The checks below build their messages only when they fail; these
+// pin the full text of each so a lazy rewrite cannot change it.
+TEST(ParallelismTest, ValidationMessagesAreExact)
+{
+    EXPECT_EQ(userErrorOf([] { makeMapping(8, 1, 1, 1, -2, 1); }),
+              "parallelism degrees must all be >= 1 "
+              "(TP8 | 1 (intra|inter))");
+    const auto sys = system128x8();
+    EXPECT_EQ(userErrorOf([&] {
+                  makeMapping(4, 1, 1, 1, 2, 64).validateFor(sys);
+              }),
+              "mapping TP4 | PP2*DP64 (intra|inter): intra-node degree "
+              "product 4 != accelerators per node 8");
+    EXPECT_EQ(userErrorOf([&] {
+                  makeMapping(8, 1, 1, 1, 1, 64).validateFor(sys);
+              }),
+              "mapping TP8 | DP64 (intra|inter): inter-node degree "
+              "product 64 != node count 128");
+}
+
+TEST(MicrobatchingTest, RejectionMessagesAreExact)
+{
+    Microbatching mb;
+    const auto cfg = makeMapping(1, 4, 4, 1, 1, 1); // DP*PP = 16
+    EXPECT_EQ(userErrorOf([&] { mb.microbatchSize(8.0, cfg); }),
+              "batch 8 too small for mapping PP4*DP4 | 1 (intra|inter): "
+              "microbatch size would be 0.5 (< 1 sample)");
+    EXPECT_EQ(userErrorOf([&] { mb.numMicrobatches(8.0, cfg); }),
+              "batch 8 too small for mapping PP4*DP4 | 1 (intra|inter): "
+              "microbatch size would be 0.5 (< 1 sample)");
+    // A fixed microbatch larger than the per-replica batch passes the
+    // size check but yields fewer than one microbatch.
+    Microbatching fixed;
+    fixed.microbatchSizeOverride = 16.0;
+    const auto dp2 = makeMapping(1, 1, 2, 1, 1, 1);
+    EXPECT_EQ(userErrorOf([&] { fixed.numMicrobatches(24.0, dp2); }),
+              "batch 24 with mapping DP2 | 1 (intra|inter) yields 0.75 "
+              "microbatches (< 1)");
 }
 
 TEST(FactorizationTest, ThreeWayCountsAndProducts)

@@ -19,6 +19,19 @@ namespace amped {
 namespace obs {
 namespace {
 
+// asInt builds its message only when the check fails; this pins the
+// full text.
+TEST(ObsJsonTest, NonIntegerNumberMessageIsExact)
+{
+    try {
+        Json::parse("2.5").asInt();
+        ADD_FAILURE() << "expected a UserError";
+    } catch (const UserError &error) {
+        EXPECT_STREQ(error.what(), "json: number 2.5 is not an integer");
+    }
+    EXPECT_EQ(Json::parse("4.0").asInt(), 4);
+}
+
 TEST(ObsJsonTest, ScalarKindsAndAccessors)
 {
     EXPECT_TRUE(Json().isNull());

@@ -151,6 +151,27 @@ TEST(ServeProtocolTest, BadInputsReturnStructuredErrors)
         pong.at("result").at("pong").asBool());
 }
 
+// The deadline check builds its message only when it fails; this
+// pins the full text, including the re-serialised offending value.
+TEST(ServeProtocolTest, NegativeDeadlineMessageIsExact)
+{
+    Harness harness;
+    EXPECT_EQ(harness
+                  .one("{\"id\":5,\"method\":\"ping\","
+                       "\"deadline_ms\":-1}")
+                  .at("error")
+                  .at("message")
+                  .asString(),
+              "'deadline_ms' must be >= 0, got -1");
+    EXPECT_EQ(harness
+                  .one("{\"id\":6,\"method\":\"ping\","
+                       "\"deadline_ms\":-2.5}")
+                  .at("error")
+                  .at("message")
+                  .asString(),
+              "'deadline_ms' must be >= 0, got -2.5");
+}
+
 TEST(ServeProtocolTest, OversizedBodyRejectedWithoutDying)
 {
     serve::ServerOptions options;

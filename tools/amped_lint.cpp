@@ -41,6 +41,16 @@
  *    tracks identifiers declared as unordered containers within the
  *    file and flags range-fors whose range expression names one.
  *
+ *  - no-eager-require-message: no `require(cond, ...)` whose message
+ *    arguments call a string builder (`toString(`, `.dump(`,
+ *    `.str()`, `.string()`, `std::to_string(`, `format*(`,
+ *    `helpText(`).  require() is a plain function, so its arguments
+ *    are evaluated on every call, including the ones that pass; in a
+ *    per-point path that formatting dominated the run time.  Write
+ *    `if (!cond) fatal(...)` instead, which builds the message only
+ *    on failure.  The call may span lines: the rule scans from the
+ *    first top-level comma to the matching parenthesis.
+ *
  * Allowlist entries are `rule:path-suffix:identifier`, one per line,
  * `#` comments; every entry should say why it is justified.
  *
@@ -447,6 +457,74 @@ scanNoUnorderedIterationInOutput(const SourceFile &file,
 }
 
 // ---------------------------------------------------------------------
+// Rule: no-eager-require-message.
+// ---------------------------------------------------------------------
+
+void
+scanNoEagerRequireMessage(const SourceFile &file, const Allowlist &allow,
+                          std::vector<Finding> &out)
+{
+    static const std::string kRule = "no-eager-require-message";
+    // Calls spread over several lines, so scan the joined text and map
+    // offsets back to line numbers.
+    std::string text;
+    std::vector<std::size_t> line_start;
+    for (const std::string &code : file.code) {
+        line_start.push_back(text.size());
+        text += code;
+        text.push_back('\n');
+    }
+    const auto line_of = [&line_start](std::size_t offset) {
+        return static_cast<std::size_t>(
+            std::upper_bound(line_start.begin(), line_start.end(),
+                             offset) -
+            line_start.begin());
+    };
+    static const std::regex call(R"(\brequire\s*\()");
+    static const std::regex builder(
+        R"(\b(toString|to_string|format\w*|helpText)\s*\()"
+        R"(|\.\s*(dump)\s*\(|\.\s*(str|string)\s*\(\s*\))");
+    for (auto it = std::sregex_iterator(text.begin(), text.end(), call);
+         it != std::sregex_iterator(); ++it) {
+        const auto begin = static_cast<std::size_t>(it->position());
+        // A member function that happens to be called require is not
+        // the error.hpp check.
+        if (begin > 0 && (text[begin - 1] == '.' || text[begin - 1] == '>'))
+            continue;
+        // The message arguments run from the first top-level comma to
+        // the closing parenthesis.
+        std::size_t args = std::string::npos;
+        std::size_t end = begin + static_cast<std::size_t>(it->length());
+        for (int depth = 1; end < text.size() && depth > 0; ++end) {
+            const char c = text[end];
+            if (c == '(' || c == '[' || c == '{')
+                ++depth;
+            else if (c == ')' || c == ']' || c == '}')
+                --depth;
+            else if (c == ',' && depth == 1 && args == std::string::npos)
+                args = end + 1;
+        }
+        if (args == std::string::npos || args >= end)
+            continue;
+        const std::string message = text.substr(args, end - 1 - args);
+        std::smatch hit;
+        if (!std::regex_search(message, hit, builder))
+            continue;
+        const std::string ident =
+            hit[1].matched ? hit[1].str()
+                           : (hit[2].matched ? hit[2].str() : hit[3].str());
+        if (allow.allows(kRule, file.path, ident))
+            continue;
+        out.push_back(
+            {kRule, file.path, line_of(begin), ident,
+             "require() message argument calls '" + ident +
+                 "', which builds a string on every call even when "
+                 "the check passes; write `if (!cond) fatal(...)` so "
+                 "the message is built only on failure"});
+    }
+}
+
+// ---------------------------------------------------------------------
 // Driver.
 // ---------------------------------------------------------------------
 
@@ -465,6 +543,7 @@ const Rule kRules[] = {
     {"no-nondeterminism", scanNoNondeterminism},
     {"no-unordered-iteration-in-output",
      scanNoUnorderedIterationInOutput},
+    {"no-eager-require-message", scanNoEagerRequireMessage},
 };
 
 bool

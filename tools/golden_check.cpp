@@ -69,9 +69,9 @@ runBench(const std::filesystem::path &bench_dir,
          const std::string &name, const std::filesystem::path &out)
 {
     const auto binary = bench_dir / name;
-    require(std::filesystem::exists(binary), "golden_check: bench "
-            "binary '", binary.string(), "' not found; build the "
-            "bench targets first");
+    if (!std::filesystem::exists(binary))
+        fatal("golden_check: bench binary '", binary.string(),
+              "' not found; build the bench targets first");
     const std::string command = "\"" + binary.string() +
                                 "\" --golden-out \"" + out.string() +
                                 "\" > /dev/null";
@@ -171,8 +171,9 @@ main(int argc, char **argv)
             if (report_path.is_relative())
                 report_path = work_dir / report_path;
             std::ofstream out(report_path);
-            require(out.good(), "golden_check: cannot write report '",
-                    report_path.string(), "'");
+            if (!out.good())
+                fatal("golden_check: cannot write report '",
+                      report_path.string(), "'");
             out << report;
             std::cout << "\ngolden_check: " << failures << " of "
                       << benches.size()

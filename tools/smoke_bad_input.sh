@@ -7,12 +7,15 @@
 #                  print a message naming the last argument plus its
 #                  supported flags on stderr, instead of aborting
 #                  through std::terminate.
+#   bad-arg:       as bench-flag, for a program with positional
+#                  arguments: exit 2 and a message naming the last
+#                  argument; no flag list is required.
 #   serve-nesting: `amped serve --stdio` fed one line of 50,000 `[`
 #                  must answer it with an error response (id null),
 #                  still answer the next line, and exit 0 at EOF.
 #
-# Usage: smoke_bad_input.sh <binary> <work-dir> <bench-flag|serve-nesting>
-#            [bench-flag arguments...]
+# Usage: smoke_bad_input.sh <binary> <work-dir>
+#            <bench-flag|bad-arg|serve-nesting> [arguments...]
 set -u
 
 BINARY=$1
@@ -28,16 +31,18 @@ fail() {
 }
 
 case "$MODE" in
-bench-flag)
+bench-flag|bad-arg)
     for last in "$@"; do :; done
     "$BINARY" "$@" > "$WORK/stdout.txt" 2> "$WORK/stderr.txt"
     code=$?
     [ "$code" -eq 2 ] || fail "exit $code, expected 2"
     grep -qF -- "$last" "$WORK/stderr.txt" ||
         fail "no message naming $last on stderr"
-    grep -q "supported flags" "$WORK/stderr.txt" ||
-        fail "no supported-flags list on stderr"
-    echo "bench-flag smoke ok"
+    if [ "$MODE" = bench-flag ]; then
+        grep -q "supported flags" "$WORK/stderr.txt" ||
+            fail "no supported-flags list on stderr"
+    fi
+    echo "$MODE smoke ok"
     ;;
 serve-nesting)
     python3 -c "print('[' * 50000)" > "$WORK/requests.txt"
@@ -53,7 +58,7 @@ serve-nesting)
     echo "serve-nesting smoke ok"
     ;;
 *)
-    echo "usage: smoke_bad_input.sh <binary> <work-dir> <bench-flag|serve-nesting>" >&2
+    echo "usage: smoke_bad_input.sh <binary> <work-dir> <bench-flag|bad-arg|serve-nesting>" >&2
     exit 2
     ;;
 esac
