@@ -12,6 +12,9 @@
 #ifndef AMPED_CORE_AMPED_MODEL_HPP
 #define AMPED_CORE_AMPED_MODEL_HPP
 
+#include <vector>
+
+#include "common/quantity.hpp"
 #include "core/breakdown.hpp"
 #include "core/options.hpp"
 #include "core/training_job.hpp"
@@ -41,6 +44,31 @@ struct EvaluationResult
 
     /** Total training time in days (case-study reporting unit). */
     double trainingDays() const;
+};
+
+/**
+ * One grid point's inputs to Eq. 1: the sum of every term of the
+ * additive model over the layers it spans, plus the point's
+ * microbatching, batch-count and FLOP scalars.  AmpedModel::evaluate
+ * fills it term by term; the sweep kernel fills it from its memoised
+ * sums.  Both hand it to AmpedModel::assemble, the one place the
+ * terms are scaled, summed and turned into an EvaluationResult.
+ */
+struct PointTerms
+{
+    Seconds forwardCompute{0.0}; ///< Sum_l U_f(l), global batch (Eq. 2).
+    Seconds weightUpdate{0.0};   ///< Sum_l U_w(l) (Eq. 12).
+    Seconds tpIntraLayer{0.0};   ///< M_f,TP,intra of one layer (Eq. 6).
+    Seconds tpInterLayer{0.0};   ///< M_f,TP,inter of one layer.
+    Seconds ppLayer{0.0};        ///< Pipeline hop of one layer (Eq. 5/7).
+    Seconds moeForward{0.0};     ///< Sum_l M_f,MoE(l) (Eq. 9).
+    Seconds gradIntra{0.0};      ///< Sum_l M_g(l), intra stage (Eq. 10).
+    Seconds gradInter{0.0};      ///< Sum_l M_g(l), inter stage (Eq. 11).
+    double microbatchSize = 0.0;  ///< ub used for eff(ub).
+    double numMicrobatches = 0.0; ///< N_ub of Eq. 8.
+    double efficiency = 0.0;      ///< eff(ub).
+    double numBatches = 0.0;      ///< N_batch of Eq. 1.
+    Flops modelFlops{0.0}; ///< OpCounter::modelFlopsPerBatch(batch).
 };
 
 /**
@@ -84,18 +112,34 @@ class AmpedModel
     EvaluationResult evaluate(const mapping::ParallelismConfig &mapping,
                               const TrainingJob &job) const;
 
+    /**
+     * Composes Eq. 1 from one point's term sums: scales each term by
+     * the mapping's parallelism, adds the pipeline bubble (Eq. 8) and
+     * derives the end-to-end metrics.  Pure arithmetic that never
+     * throws; evaluate() and the sweep kernel both end here, which is
+     * what keeps them bit-identical.
+     *
+     * @param mapping The point's mapping (already validated).
+     * @param batch The point's global batch size.
+     * @param terms The point's term sums and scalars.
+     */
+    EvaluationResult assemble(const mapping::ParallelismConfig &mapping,
+                              double batch,
+                              const PointTerms &terms) const;
+
     // -----------------------------------------------------------------
-    // Fine-grained model terms, exposed for tests and ablations.
-    // All times are seconds; batch arguments are global batch sizes.
+    // The terms of the additive model, each a function of exactly the
+    // inputs it depends on (the sweep kernel memoises the sums by
+    // these inputs).  All times are seconds; batch arguments are
+    // global batch sizes unless named per-replica.
     // -----------------------------------------------------------------
 
-    /** U_f(l) of Eq. 2 for the full global batch. */
-    Seconds forwardComputeTime(std::int64_t layer, double batch,
-                               double efficiency_value) const;
+    /** Sum over layers of U_f(l) (Eq. 2) for the full global batch. */
+    Seconds forwardComputeTotal(double batch,
+                                double efficiency_value) const;
 
-    /** U_w(l) of Eq. 12. */
-    Seconds weightUpdateTime(std::int64_t layer,
-                             double efficiency_value) const;
+    /** Sum over layers of U_w(l) (Eq. 12). */
+    Seconds weightUpdateTotal(double efficiency_value) const;
 
     /** M_f,TP,intra(l) of Eq. 6 (per-replica batch passed in). */
     Seconds tpIntraCommTime(const mapping::ParallelismConfig &mapping,
@@ -109,13 +153,16 @@ class AmpedModel
     Seconds ppCommTime(const mapping::ParallelismConfig &mapping,
                        double replica_batch) const;
 
-    /** M_f,MoE(l) of Eq. 9. */
-    Seconds moeCommTime(std::int64_t layer, double replica_batch) const;
+    /** Sum over layers of M_f,MoE(l) (Eq. 9). */
+    Seconds moeCommTotal(double replica_batch) const;
 
-    /** M_g(l) of Eq. 10-11 (both tiers summed). */
-    Seconds gradCommTime(const mapping::ParallelismConfig &mapping,
-                         std::int64_t layer, Seconds &intra_part,
-                         Seconds &inter_part) const;
+    /**
+     * Sums over layers of the gradient all-reduce M_g(l) (Eq. 10-11),
+     * one per tier.  Depends on the mapping only through N_TP N_PP
+     * and the two DP degrees.
+     */
+    void gradCommTotals(const mapping::ParallelismConfig &mapping,
+                        Seconds &intra_total, Seconds &inter_total) const;
 
     /** The operation counter (model-side knob access). */
     const model::OpCounter &opCounter() const { return opCounter_; }
@@ -135,15 +182,19 @@ class AmpedModel
         return efficiency_;
     }
 
-  private:
-    /** Effective inter-node link (NIC-aggregated bandwidth). */
-    net::LinkConfig interLinkEffective() const;
+    /** The accelerator rates, captured once (Eq. 2-3). */
+    const hw::ComputeRateSnapshot &rates() const { return rates_; }
 
+  private:
     model::OpCounter opCounter_;
     hw::AcceleratorConfig accel_;
     hw::MicrobatchEfficiency efficiency_;
     net::SystemConfig system_;
     ModelOptions options_;
+    hw::ComputeRateSnapshot rates_;
+    net::SystemSnapshot links_;
+    /** 2 W(l): each layer's weight-update FLOPs (Eq. 12). */
+    std::vector<Flops> updateFlops_;
 };
 
 } // namespace core

@@ -1,14 +1,11 @@
 #include "batch_terms.hpp"
 
-#include <algorithm>
 #include <cstring>
-#include <stdexcept>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/thread_pool.hpp"
-#include "net/collectives.hpp"
 
 namespace amped {
 namespace core {
@@ -23,6 +20,15 @@ doubleBits(double value)
     static_assert(sizeof(bits) == sizeof(value), "double is 64-bit");
     std::memcpy(&bits, &value, sizeof(bits));
     return bits;
+}
+
+/** Primes one entry or op table: runs @p compute and records it. */
+template <typename Slot, typename Compute>
+void
+record(Slot &slot, Compute &&compute)
+{
+    slot.outcome = runStep(std::forward<Compute>(compute));
+    slot.primed = true;
 }
 
 } // namespace
@@ -46,25 +52,15 @@ SweepTermCache::TripleKeyHash::operator()(const TripleKey &k) const
     return static_cast<std::size_t>(hasher.digest());
 }
 
-SweepTermCache::SweepTermCache(const AmpedModel &model)
-    : model_(model), rates_(hw::computeRateSnapshot(model.accelerator())),
-      system_(model.system().snapshot())
+SweepTermCache::SweepTermCache(const AmpedModel &model) : model_(model)
 {
-    const auto &counter = model_.opCounter();
-    const std::int64_t layers = counter.config().numLayers;
-    weights2_.reserve(static_cast<std::size_t>(layers));
-    gradients_.reserve(static_cast<std::size_t>(layers));
-    for (std::int64_t l = 0; l < layers; ++l) {
-        weights2_.push_back(2.0 * counter.weightsPerLayer(l));
-        gradients_.push_back(counter.gradientsPerLayer(l));
-    }
     moeActive_ = model_.options().enableMoeComm &&
-                 counter.config().moe.numExperts > 0;
+                 model_.opCounter().config().moe.numExperts > 0;
     if (!moeActive_) {
-        // Sentinel id 0: every MoE lookup resolves to an exact +0.0,
-        // matching the scalar sum of per-layer zeros.
+        // Sentinel id 0: every MoE probe resolves to an exact +0.0,
+        // matching AmpedModel::moeCommTotal.
         Entry zero;
-        zero.outcome = Outcome::ok;
+        zero.primed = true;
         moe_.push_back(std::move(zero));
     }
 }
@@ -167,7 +163,7 @@ SweepTermCache::registerModelFlops(double batch)
 void
 SweepTermCache::primeOpsTable(OpsTable &table) const
 {
-    try {
+    record(table, [&] {
         const auto &counter = model_.opCounter();
         const std::int64_t layers = counter.config().numLayers;
         table.terms.clear();
@@ -183,14 +179,7 @@ SweepTermCache::primeOpsTable(OpsTable &table) const
             table.layerEnd.push_back(
                 static_cast<std::uint32_t>(table.terms.size()));
         }
-        table.outcome = Outcome::ok;
-    } catch (const UserError &e) {
-        table.outcome = Outcome::userError;
-        table.message = e.what();
-    } catch (const std::exception &e) {
-        table.outcome = Outcome::error;
-        table.message = e.what();
-    }
+    });
 }
 
 void
@@ -200,128 +189,72 @@ SweepTermCache::primeForwardCompute(Entry &entry) const
         forwardOpsTable_[static_cast<std::size_t>(&entry -
                                                   forward_.data())];
     const OpsTable &table = opsTables_[table_index];
-    if (table.outcome != Outcome::ok) {
+    if (!table.outcome.ok()) {
         entry.outcome = table.outcome;
-        entry.message = table.message;
+        entry.primed = true;
         return;
     }
-    try {
-        // Mirrors core::layerForwardComputeTime summed over layers,
-        // per-layer sub-accumulator included: identical operations in
-        // identical order yield identical bits.
+    record(entry, [&] {
+        // core::layerForwardComputeTime summed over layers, replayed
+        // on the op table with the model's rate snapshot: identical
+        // operations in identical order (per-layer sub-accumulator
+        // included) yield identical bits.
+        const hw::ComputeRateSnapshot &rates = model_.rates();
         const SecondsPerFlop c_mac =
             hw::cMac(model_.accelerator(), entry.keyB);
-        const SecondsPerFlop c_non = rates_.cNonlin;
         Seconds fwd_total{0.0};
         std::size_t begin = 0;
         for (const std::uint32_t end : table.layerEnd) {
             Seconds time{0.0};
             for (std::size_t i = begin; i < end; ++i) {
                 time += Flops{table.terms[i].macs2} * c_mac *
-                        rates_.macFactor;
-                time += Flops{table.terms[i].nonlinear} * c_non *
-                        rates_.nonlinFactor;
+                        rates.macFactor;
+                time += Flops{table.terms[i].nonlinear} *
+                        rates.cNonlin * rates.nonlinFactor;
             }
             fwd_total += time;
             begin = end;
         }
         entry.value = fwd_total.value();
-        entry.outcome = Outcome::ok;
-    } catch (const UserError &e) {
-        entry.outcome = Outcome::userError;
-        entry.message = e.what();
-    } catch (const std::exception &e) {
-        entry.outcome = Outcome::error;
-        entry.message = e.what();
-    }
+    });
 }
 
 void
 SweepTermCache::primeWeightUpdate(Entry &entry) const
 {
-    try {
-        // Mirrors core::layerWeightUpdateTime summed over layers.
-        const SecondsPerFlop c_mac =
-            hw::cMac(model_.accelerator(), entry.keyA);
-        Seconds update_total{0.0};
-        for (const double w2 : weights2_)
-            update_total += Flops{w2} * c_mac * rates_.macFactor;
-        entry.value = update_total.value();
-        entry.outcome = Outcome::ok;
-    } catch (const UserError &e) {
-        entry.outcome = Outcome::userError;
-        entry.message = e.what();
-    } catch (const std::exception &e) {
-        entry.outcome = Outcome::error;
-        entry.message = e.what();
-    }
+    record(entry, [&] {
+        entry.value = model_.weightUpdateTotal(entry.keyA).value();
+    });
 }
 
 void
 SweepTermCache::primeMoeForward(Entry &entry) const
 {
-    try {
-        const std::int64_t layers =
-            model_.opCounter().config().numLayers;
-        Seconds total{0.0};
-        for (std::int64_t l = 0; l < layers; ++l)
-            total += model_.moeCommTime(l, entry.keyA);
-        entry.value = total.value();
-        entry.outcome = Outcome::ok;
-    } catch (const UserError &e) {
-        entry.outcome = Outcome::userError;
-        entry.message = e.what();
-    } catch (const std::exception &e) {
-        entry.outcome = Outcome::error;
-        entry.message = e.what();
-    }
+    record(entry, [&] {
+        entry.value = model_.moeCommTotal(entry.keyA).value();
+    });
 }
 
 void
 SweepTermCache::primeGrad(Entry &entry) const
 {
-    const std::size_t id =
-        static_cast<std::size_t>(&entry - grad_.data());
-    const mapping::ParallelismConfig &mapping = gradMappings_[id];
-    try {
-        const std::int64_t layers =
-            model_.opCounter().config().numLayers;
-        // Mirrors the evaluate() gradient loop, accumulating raw
-        // doubles exactly as Breakdown::commGrad* do.
-        double intra_sum = 0.0;
-        double inter_sum = 0.0;
-        for (std::int64_t l = 0; l < layers; ++l) {
-            Seconds intra{0.0};
-            Seconds inter{0.0};
-            model_.gradCommTime(mapping, l, intra, inter);
-            intra_sum += intra.value();
-            inter_sum += inter.value();
-        }
-        entry.value = intra_sum;
-        entry.value2 = inter_sum;
-        entry.outcome = Outcome::ok;
-    } catch (const UserError &e) {
-        entry.outcome = Outcome::userError;
-        entry.message = e.what();
-    } catch (const std::exception &e) {
-        entry.outcome = Outcome::error;
-        entry.message = e.what();
-    }
+    const mapping::ParallelismConfig &mapping =
+        gradMappings_[static_cast<std::size_t>(&entry - grad_.data())];
+    record(entry, [&] {
+        Seconds intra{0.0};
+        Seconds inter{0.0};
+        model_.gradCommTotals(mapping, intra, inter);
+        entry.value = intra.value();
+        entry.value2 = inter.value();
+    });
 }
 
 void
 SweepTermCache::primeModelFlops(Entry &entry) const
 {
-    try {
+    record(entry, [&] {
         entry.value = model_.opCounter().modelFlopsPerBatch(entry.keyA);
-        entry.outcome = Outcome::ok;
-    } catch (const UserError &e) {
-        entry.outcome = Outcome::userError;
-        entry.message = e.what();
-    } catch (const std::exception &e) {
-        entry.outcome = Outcome::error;
-        entry.message = e.what();
-    }
+    });
 }
 
 RunStatus
@@ -334,7 +267,7 @@ SweepTermCache::prime(unsigned max_workers, const CancelToken &token)
     // Phase 1: per-batch op tables (forward entries read them).
     std::vector<std::size_t> pending_tables;
     for (std::size_t i = 0; i < opsTables_.size(); ++i)
-        if (opsTables_[i].outcome == Outcome::pending)
+        if (!opsTables_[i].primed)
             pending_tables.push_back(i);
     if (!pending_tables.empty()) {
         const RunStatus status = ThreadPool::shared().parallelFor(
@@ -361,7 +294,7 @@ SweepTermCache::prime(unsigned max_workers, const CancelToken &token)
     const auto collect = [&work](Kind kind,
                                  const std::vector<Entry> &entries) {
         for (std::size_t i = 0; i < entries.size(); ++i)
-            if (entries[i].outcome == Outcome::pending)
+            if (!entries[i].primed)
                 work.emplace_back(kind, i);
     };
     collect(kForward, forward_);
@@ -395,177 +328,6 @@ SweepTermCache::prime(unsigned max_workers, const CancelToken &token)
             }
         },
         token, workers);
-}
-
-void
-SweepTermCache::rethrow(const Entry &entry)
-{
-    AMPED_ASSERT(entry.outcome != Outcome::pending,
-                 "SweepTermCache lookup before prime()");
-    if (entry.outcome == Outcome::userError)
-        throw UserError(entry.message);
-    throw std::runtime_error(entry.message);
-}
-
-Seconds
-SweepTermCache::forwardComputeTotal(std::size_t id) const
-{
-    const Entry &entry = forward_[id];
-    if (entry.outcome != Outcome::ok)
-        rethrow(entry);
-    return Seconds{entry.value};
-}
-
-Seconds
-SweepTermCache::weightUpdateTotal(std::size_t id) const
-{
-    const Entry &entry = update_[id];
-    if (entry.outcome != Outcome::ok)
-        rethrow(entry);
-    return Seconds{entry.value};
-}
-
-Seconds
-SweepTermCache::moeForwardTotal(std::size_t id) const
-{
-    const Entry &entry = moe_[id];
-    if (entry.outcome != Outcome::ok)
-        rethrow(entry);
-    return Seconds{entry.value};
-}
-
-SweepTermCache::GradTotals
-SweepTermCache::gradTotals(std::size_t id) const
-{
-    const Entry &entry = grad_[id];
-    if (entry.outcome != Outcome::ok)
-        rethrow(entry);
-    GradTotals totals;
-    totals.intra = Seconds{entry.value};
-    totals.inter = Seconds{entry.value2};
-    return totals;
-}
-
-double
-SweepTermCache::modelFlopsPerBatch(std::size_t id) const
-{
-    const Entry &entry = flops_[id];
-    if (entry.outcome != Outcome::ok)
-        rethrow(entry);
-    return entry.value;
-}
-
-namespace {
-
-/** Converts a primed entry into the non-throwing probe form. */
-SweepTermCache::Probe
-probeEntry(double value, double value2, bool ok, bool user_error)
-{
-    SweepTermCache::Probe probe;
-    if (ok) {
-        probe.status = SweepTermCache::LookupStatus::ok;
-        probe.value = value;
-        probe.value2 = value2;
-    } else {
-        probe.status = user_error
-                           ? SweepTermCache::LookupStatus::userError
-                           : SweepTermCache::LookupStatus::error;
-    }
-    return probe;
-}
-
-} // namespace
-
-SweepTermCache::Probe
-SweepTermCache::probeForwardCompute(std::size_t id) const
-{
-    const Entry &entry = forward_[id];
-    AMPED_ASSERT(entry.outcome != Outcome::pending,
-                 "SweepTermCache probe before prime()");
-    return probeEntry(entry.value, 0.0, entry.outcome == Outcome::ok,
-                      entry.outcome == Outcome::userError);
-}
-
-SweepTermCache::Probe
-SweepTermCache::probeWeightUpdate(std::size_t id) const
-{
-    const Entry &entry = update_[id];
-    AMPED_ASSERT(entry.outcome != Outcome::pending,
-                 "SweepTermCache probe before prime()");
-    return probeEntry(entry.value, 0.0, entry.outcome == Outcome::ok,
-                      entry.outcome == Outcome::userError);
-}
-
-SweepTermCache::Probe
-SweepTermCache::probeMoeForward(std::size_t id) const
-{
-    const Entry &entry = moe_[id];
-    AMPED_ASSERT(entry.outcome != Outcome::pending,
-                 "SweepTermCache probe before prime()");
-    return probeEntry(entry.value, 0.0, entry.outcome == Outcome::ok,
-                      entry.outcome == Outcome::userError);
-}
-
-SweepTermCache::Probe
-SweepTermCache::probeGrad(std::size_t id) const
-{
-    const Entry &entry = grad_[id];
-    AMPED_ASSERT(entry.outcome != Outcome::pending,
-                 "SweepTermCache probe before prime()");
-    return probeEntry(entry.value, entry.value2,
-                      entry.outcome == Outcome::ok,
-                      entry.outcome == Outcome::userError);
-}
-
-Seconds
-SweepTermCache::tpIntraCommTime(std::int64_t tp_intra,
-                                double replica_batch) const
-{
-    if (tp_intra <= 1)
-        return Seconds{0.0};
-    const double n_act =
-        model_.opCounter().activationsTensorParallel(replica_batch);
-    const Bits s_act = model_.accelerator().precisions.activationBits;
-    return net::allReduceTime(
-        tp_intra, n_act, s_act, system_.intraLink,
-        model_.options().intraTopologyFactorOverride);
-}
-
-Seconds
-SweepTermCache::tpInterCommTime(std::int64_t tp_inter,
-                                double replica_batch) const
-{
-    if (tp_inter <= 1)
-        return Seconds{0.0};
-    const double n_act =
-        model_.opCounter().activationsTensorParallel(replica_batch);
-    const Bits s_act = model_.accelerator().precisions.activationBits;
-    return net::allReduceTime(
-        tp_inter, n_act, s_act, system_.interEffective,
-        model_.options().interTopologyFactorOverride);
-}
-
-Seconds
-SweepTermCache::ppCommTime(std::int64_t pp_intra, std::int64_t pp_inter,
-                           double replica_batch) const
-{
-    const double layers =
-        static_cast<double>(model_.opCounter().config().numLayers);
-    const double n_act =
-        model_.opCounter().activationsPipelineParallel(replica_batch);
-    const Bits s_act = model_.accelerator().precisions.activationBits;
-
-    Seconds intra{0.0};
-    if (pp_intra > 1) {
-        intra = net::pointToPointTime(n_act, s_act, system_.intraLink) /
-                layers;
-    }
-    Seconds inter{0.0};
-    if (pp_inter > 1) {
-        inter = net::pointToPointTime(n_act, s_act, system_.interHop) /
-                layers;
-    }
-    return std::max(intra, inter);
 }
 
 } // namespace core

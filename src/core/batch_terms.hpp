@@ -18,28 +18,32 @@
  *
  * SweepTermCache deduplicates those inputs, computes each distinct
  * sum once (in parallel), and serves the results to the batched sweep
- * kernel (explore/sweep_kernel.cpp) as O(1) array lookups.
+ * kernel (explore/sweep_kernel.cpp) as O(1) probes.
  *
- * Bit-exactness contract: every cached value is produced by the same
- * floating-point operations, in the same order, on the same inputs as
- * the scalar evaluator — per-layer sub-accumulators included — so a
- * sweep evaluated through this cache is byte-identical to one
- * evaluated through AmpedModel::evaluate.  tests/test_explore_batch.cpp
- * asserts this property over randomized grids; the goldens pin it for
- * the paper's case studies.  Any change to the scalar term order must
- * be mirrored here (and vice versa), or the property test fails.
+ * Bit-exactness contract: every entry is the value of the
+ * corresponding AmpedModel term (weightUpdateTotal, moeCommTotal,
+ * gradCommTotals, OpCounter::modelFlopsPerBatch), computed by that
+ * very function.  The one replay is the forward compute sum, which
+ * re-prices a per-batch table of every layer's sublayer op counts at
+ * each efficiency with core::layerForwardComputeTime's operations in
+ * its order (per-layer sub-accumulators included).  The sweep kernel
+ * then hands the sums to AmpedModel::assemble, so a sweep evaluated
+ * through this cache is byte-identical to one evaluated through
+ * AmpedModel::evaluate.  tests/test_explore_batch.cpp asserts this
+ * over randomized grids; the goldens pin it for the paper's case
+ * studies.
  *
  * Failure semantics: registration never throws.  If computing a
  * cached sum throws (the scalar path would throw the same exception
- * at every point sharing the inputs), the entry is poisoned and the
- * lookup rethrows an exception of the same category (UserError vs
- * other) with the same message, so the sweep engine classifies the
- * point exactly as the scalar engine would (skip vs NaN-pin).
+ * at every point sharing the inputs), the entry is poisoned and its
+ * probe reports the category (UserError vs other) and the message,
+ * so the sweep engine classifies the point exactly as the scalar
+ * engine would (skip vs NaN-pin).
  *
  * Thread safety: construction and register*() calls are
  * single-threaded; prime() fills all registered entries (internally
- * parallel); after prime() returns, every lookup and per-point term
- * function is const and safe to call concurrently.
+ * parallel); after prime() returns, every probe is const and safe
+ * to call concurrently.
  */
 
 #ifndef AMPED_CORE_BATCH_TERMS_HPP
@@ -47,16 +51,53 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "common/cancel.hpp"
+#include "common/error.hpp"
 #include "core/amped_model.hpp"
-#include "hw/accelerator.hpp"
-#include "net/system_config.hpp"
 
 namespace amped {
 namespace core {
+
+/** How one step of the scalar evaluation path ended. */
+enum class StepStatus : std::uint8_t
+{
+    ok,        ///< The step produced its value.
+    userError, ///< The scalar path raises UserError(message) here.
+    error      ///< It raises another std::exception(message) here.
+};
+
+/** A step's status plus the message of its failure. */
+struct StepOutcome
+{
+    StepStatus status = StepStatus::ok;
+    std::string message; ///< what() of the failure.
+
+    bool ok() const { return status == StepStatus::ok; }
+};
+
+/**
+ * Runs @p step and records how it ended: the category (UserError vs
+ * any other exception) and the message the scalar path raises.  The
+ * term cache records its entries with it and the sweep kernel its
+ * grid-constant steps, so both classify a failure as evaluate() does.
+ */
+template <typename F>
+StepOutcome
+runStep(F &&step)
+{
+    try {
+        step();
+        return {};
+    } catch (const UserError &e) {
+        return {StepStatus::userError, e.what()};
+    } catch (const std::exception &e) {
+        return {StepStatus::error, e.what()};
+    }
+}
 
 /**
  * Memoized per-term evaluator for batched sweeps.  See the file
@@ -65,13 +106,6 @@ namespace core {
 class SweepTermCache
 {
   public:
-    /** Accumulated gradient all-reduce times (Eq. 10-11). */
-    struct GradTotals
-    {
-        Seconds intra{0.0}; ///< Sum over layers of the intra stage.
-        Seconds inter{0.0}; ///< Sum over layers of the inter stage.
-    };
-
     /**
      * @param model The evaluator whose terms are cached.  The model
      *        must outlive the cache (the cache keeps references).
@@ -105,7 +139,7 @@ class SweepTermCache
      *
      * Cancellable: @p token is polled between phases and between
      * parallelFor chunks.  On a stop, unfilled entries stay pending —
-     * a later prime() (with a fresh token) completes them; lookups
+     * a later prime() (with a fresh token) completes them; probes
      * before that assert.  Inert token = always Completed.
      *
      * @param max_workers Parallelism cap (0 = whole pool).
@@ -114,89 +148,52 @@ class SweepTermCache
                     const CancelToken &token = {});
 
     // -----------------------------------------------------------------
-    // Lookups: const, thread-safe after prime().  Poisoned entries
-    // rethrow the recorded failure (same category and message the
-    // scalar path would produce).
-    // -----------------------------------------------------------------
-
-    Seconds forwardComputeTotal(std::size_t id) const;
-    Seconds weightUpdateTotal(std::size_t id) const;
-    Seconds moeForwardTotal(std::size_t id) const;
-    GradTotals gradTotals(std::size_t id) const;
-    double modelFlopsPerBatch(std::size_t id) const;
-
-    // -----------------------------------------------------------------
-    // Probes: non-throwing variants of the lookups above for the
-    // branch-and-bound optimizer's bound assembly (explore/optimizer).
-    // A bound computation touches every registered entry of a search
-    // cell, including poisoned ones; probes report the recorded
-    // outcome as a status instead of rethrowing so the optimizer can
-    // classify the cell (evaluate everything vs provably infeasible)
+    // Probes: const and thread-safe after prime().  A probe reports
+    // the recorded outcome as a status instead of throwing, so one
+    // classifier serves the sweep kernel and the optimizer's bound
     // without exception round-trips.
     // -----------------------------------------------------------------
 
-    /** How a probed entry's computation ended. */
-    enum class LookupStatus : std::uint8_t
-    {
-        ok,        ///< value (and value2 for grad) valid.
-        userError, ///< The throwing lookup raises UserError.
-        error      ///< The throwing lookup raises std::runtime_error.
-    };
-
-    /** Non-throwing lookup result. */
+    /** One primed entry. */
     struct Probe
     {
-        LookupStatus status = LookupStatus::ok;
-        double value = 0.0;  ///< Same scalar the lookup returns.
+        StepStatus status = StepStatus::ok;
+        double value = 0.0;  ///< The sum (seconds; FLOPs for flops).
         double value2 = 0.0; ///< Grad inter sum; unused otherwise.
+        std::string_view message; ///< The failure, when not ok.
+
+        bool ok() const { return status == StepStatus::ok; }
     };
 
-    Probe probeForwardCompute(std::size_t id) const;
-    Probe probeWeightUpdate(std::size_t id) const;
-    Probe probeMoeForward(std::size_t id) const;
-    Probe probeGrad(std::size_t id) const;
-
-    // -----------------------------------------------------------------
-    // Per-point terms: cheap closed forms with no layer loop, computed
-    // from the const parameter snapshots.  Bit-exact mirrors of the
-    // corresponding AmpedModel member functions.
-    // -----------------------------------------------------------------
-
-    /** Mirrors AmpedModel::tpIntraCommTime. */
-    Seconds tpIntraCommTime(std::int64_t tp_intra,
-                            double replica_batch) const;
-
-    /** Mirrors AmpedModel::tpInterCommTime. */
-    Seconds tpInterCommTime(std::int64_t tp_inter,
-                            double replica_batch) const;
-
-    /** Mirrors AmpedModel::ppCommTime. */
-    Seconds ppCommTime(std::int64_t pp_intra, std::int64_t pp_inter,
-                       double replica_batch) const;
-
-    /** The model whose terms are cached. */
-    const AmpedModel &model() const { return model_; }
+    Probe probeForwardCompute(std::size_t id) const
+    {
+        return probe(forward_[id]);
+    }
+    Probe probeWeightUpdate(std::size_t id) const
+    {
+        return probe(update_[id]);
+    }
+    Probe probeMoeForward(std::size_t id) const
+    {
+        return probe(moe_[id]);
+    }
+    /** value = intra-stage sum, value2 = inter-stage sum. */
+    Probe probeGrad(std::size_t id) const { return probe(grad_[id]); }
+    Probe probeModelFlops(std::size_t id) const
+    {
+        return probe(flops_[id]);
+    }
 
   private:
-    /** How a cached computation ended. */
-    enum class Outcome : std::uint8_t
-    {
-        pending,   ///< Registered, not primed yet.
-        ok,        ///< value fields valid.
-        userError, ///< Scalar path throws UserError(message).
-        error      ///< Scalar path throws std::runtime_error(message).
-    };
-
     /** One memoized sum (two values cover the two-part grad case). */
     struct Entry
     {
         double keyA = 0.0; ///< First input (batch / eff / replica...).
         double keyB = 0.0; ///< Second input when the key is a pair.
-        std::int64_t intA = 0, intB = 0, intC = 0; ///< Grad key parts.
         double value = 0.0;
         double value2 = 0.0;
-        Outcome outcome = Outcome::pending;
-        std::string message;
+        bool primed = false; ///< False until prime() fills it.
+        StepOutcome outcome;
     };
 
     /** Exact-match dedup key over two doubles (bit patterns). */
@@ -240,8 +237,8 @@ class SweepTermCache
         double batch = 0.0;
         std::vector<OpTerm> terms;        ///< All layers, flattened.
         std::vector<std::uint32_t> layerEnd; ///< End index per layer.
-        Outcome outcome = Outcome::pending;
-        std::string message;
+        bool primed = false;
+        StepOutcome outcome;
     };
 
     void primeOpsTable(OpsTable &table) const;
@@ -251,16 +248,15 @@ class SweepTermCache
     void primeGrad(Entry &entry) const;
     void primeModelFlops(Entry &entry) const;
 
-    /** Rethrows a poisoned entry's recorded failure. */
-    static void rethrow(const Entry &entry);
+    /** A primed entry in its non-throwing form. */
+    static Probe probe(const Entry &entry)
+    {
+        AMPED_ASSERT(entry.primed, "SweepTermCache probe before prime()");
+        return {entry.outcome.status, entry.value, entry.value2,
+                entry.outcome.message};
+    }
 
     const AmpedModel &model_;
-    hw::ComputeRateSnapshot rates_;
-    net::SystemSnapshot system_;
-
-    // Per-layer constants captured once at construction.
-    std::vector<double> weights2_;   ///< 2.0 * weightsPerLayer(l).
-    std::vector<double> gradients_;  ///< gradientsPerLayer(l).
     bool moeActive_ = false; ///< enableMoeComm and >= 1 MoE layer.
 
     std::unordered_map<PairKey, std::size_t, PairKeyHash> forwardIds_;

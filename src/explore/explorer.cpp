@@ -5,7 +5,6 @@
 #include <limits>
 #include <sstream>
 
-#include "common/error.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "common/units.hpp"
@@ -152,14 +151,9 @@ sweepCsv(const std::vector<SweepEntry> &entries)
         "mapping", "tp",         "pp",          "dp",
         "batch",   "microbatch", "efficiency",  "seconds_per_batch",
         "total_seconds", "tflops_per_gpu"};
-    // Derive the phase columns from the first entry so headers and
-    // data rows can never silently misalign; every entry must carry
-    // the same phase set (checked below).
-    const auto reference_phases = entries.empty()
-                                      ? core::Breakdown{}.phases()
-                                      : entries.front()
-                                            .result.perBatch.phases();
-    for (const auto &[label, seconds] : reference_phases) {
+    // Breakdown::phases() always lists the same labels in the same
+    // order, so the header and every row share one column layout.
+    for (const auto &[label, seconds] : core::Breakdown{}.phases()) {
         (void)seconds;
         std::string key = label;
         for (char &ch : key)
@@ -181,18 +175,9 @@ sweepCsv(const std::vector<SweepEntry> &entries)
             units::formatFixed(e.result.totalTime, 3),
             units::formatFixed(
                 e.result.achievedFlopsPerGpu / units::tera, 3)};
-        const auto entry_phases = e.result.perBatch.phases();
-        if (entry_phases.size() != reference_phases.size())
-            fatal("sweepCsv: entry for ", e.mapping.toString(), " has ",
-                  entry_phases.size(), " phases, header has ",
-                  reference_phases.size());
-        for (std::size_t i = 0; i < entry_phases.size(); ++i) {
-            require(entry_phases[i].first == reference_phases[i].first,
-                    "sweepCsv: phase mismatch at column ", i, ": '",
-                    entry_phases[i].first, "' vs header '",
-                    reference_phases[i].first, "'");
-            row.push_back(
-                units::formatFixed(entry_phases[i].second, 9));
+        for (const auto &[label, seconds] : e.result.perBatch.phases()) {
+            (void)label;
+            row.push_back(units::formatFixed(seconds, 9));
         }
         table.addRow(std::move(row));
     }

@@ -134,7 +134,7 @@ class Explorer
 
     /**
      * Installs a cancellation token observed by every subsequent
-     * sweep: the grid is checkpointed between SoA blocks
+     * sweep: the grid is checkpointed between blocks
      * (explore::kSweepBlockPoints points), and a stop produces a
      * deterministic prefix result (see SweepResult::status).  The
      * default inert token costs nothing and never stops anything.

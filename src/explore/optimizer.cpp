@@ -35,8 +35,8 @@ constexpr std::size_t kFirstWavePoints = 16;
 constexpr std::size_t kWaveGrowth = 4;
 constexpr std::size_t kMaxWavePoints = 4096;
 
-/** Relative safety margin absorbing floating-point reassociation
- *  between the bound's arithmetic and the batch kernel's. */
+/** Relative margin that keeps every bound strictly below the exact
+ *  total it is taken from, so ties never prune a candidate. */
 constexpr double kBoundMargin = 1e-9;
 
 /** Where a screened grid point goes next. */
@@ -64,144 +64,36 @@ ranksBefore(const Candidate &a, const Candidate &b)
     return a.gridIndex < b.gridIndex;
 }
 
-/** Model-option scalars shared by the screen (names match the
- *  batch kernel's hoisted constants). */
-struct BoundScalars
-{
-    double layersD = 0.0;
-    double bwdCompute = 0.0;
-    double fb = 0.0;
-    double ppMult = 0.0;
-    double bubbleRatio = 0.0;
-};
-
 /**
- * Classifies one grid point from the kernel's constant tables alone,
- * following AmpedModel::evaluate's exact step order (see
- * SweepKernel::evaluatePointInto), and assembles the admissible
- * lower bound for survivors.
+ * Screens one grid point with the kernel's own classifier and
+ * returns its admissible lower bound.  @p result is scratch space for
+ * the classifier's assembled result.
  *
- * Failure mapping: a step the scalar path answers with UserError
- * proves the point infeasible (it can never enter the ranking); a
- * step that throws anything else means the point will NaN-pin, whose
- * ranking key is +infinity — so its bound IS +infinity and the
- * normal prune rule handles it.  The bound of a healthy point is its
- * exact additive total scaled down by kBoundMargin (admissibility
- * argument in DESIGN.md).
+ * Failure mapping: a point the classifier finds infeasible (the
+ * scalar path answers with UserError) can never enter the ranking; a
+ * point it fails will NaN-pin, whose ranking key is +infinity — so
+ * its bound IS +infinity and the normal prune rule handles it.  The
+ * bound of a feasible point is the kernel's exact total time scaled
+ * down by kBoundMargin (admissibility argument in DESIGN.md).
  */
 Disposition
-screenPoint(const SweepKernel &kernel,
-            const core::MemoryModel *memory_model,
-            const BoundScalars &sc, std::size_t mapping_index,
-            std::size_t job_index, double &bound)
+screenPoint(const SweepKernel &kernel, std::size_t mapping_index,
+            std::size_t job_index, core::EvaluationResult &result,
+            double &bound)
 {
     bound = kInf;
-    const MappingInfo &mi = kernel.mappingInfo(mapping_index);
-    const JobInfo &ji = kernel.jobInfo(job_index);
-    const JcEntry &entry = kernel.jcEntry(mi.classIdx, job_index);
-    const core::SweepTermCache &cache = kernel.termCache();
-    using Status = core::SweepTermCache::LookupStatus;
-
-    if (memory_model != nullptr) {
-        if (entry.ubKind == kUserError)
-            return Disposition::infeasible;
-        if (entry.ubKind == kError)
-            return Disposition::needEval;
-        try {
-            if (!memory_model->fits(kernel.mappingAt(mapping_index),
-                                    ji.batch, entry.ub))
-                return Disposition::overMemory;
-        } catch (const UserError &) {
-            return Disposition::infeasible;
-        } catch (const std::exception &) {
-            return Disposition::needEval;
-        }
-    }
-    if (mi.kind == kUserError || ji.validKind == kUserError)
+    switch (kernel.classify(mapping_index, job_index, result,
+                            /*failure=*/nullptr)) {
+    case PointStatus::infeasible:
         return Disposition::infeasible;
-    if (mi.kind == kError || ji.validKind == kError)
-        return Disposition::needEval;
-    if (memory_model == nullptr) {
-        if (entry.ubKind == kUserError)
-            return Disposition::infeasible;
-        if (entry.ubKind == kError)
-            return Disposition::needEval;
-    }
-    if (entry.preKind == kUserError)
-        return Disposition::infeasible;
-    if (entry.preKind == kError)
-        return Disposition::needEval;
-
-    // Term probes and closed forms, in the evaluator's lookup order
-    // (the first failing step decides the point's classification).
-    const auto fwd = cache.probeForwardCompute(entry.fwdId);
-    if (fwd.status == Status::userError)
-        return Disposition::infeasible;
-    if (fwd.status == Status::error)
-        return Disposition::needEval;
-    const auto upd = cache.probeWeightUpdate(entry.updId);
-    if (upd.status == Status::userError)
-        return Disposition::infeasible;
-    if (upd.status == Status::error)
-        return Disposition::needEval;
-
-    double tp_intra_layer = 0.0;
-    double tp_inter_layer = 0.0;
-    double pp_layer = 0.0;
-    try {
-        tp_intra_layer =
-            cache.tpIntraCommTime(mi.tpIntra, entry.replicaBatch)
-                .value();
-        tp_inter_layer =
-            cache.tpInterCommTime(mi.tpInter, entry.replicaBatch)
-                .value();
-        pp_layer = cache.ppCommTime(mi.ppIntra, mi.ppInter,
-                                    entry.replicaBatch)
-                       .value();
-    } catch (const UserError &) {
-        return Disposition::infeasible;
-    } catch (const std::exception &) {
-        return Disposition::needEval;
-    }
-
-    const auto moe = cache.probeMoeForward(entry.moeId);
-    if (moe.status == Status::userError)
-        return Disposition::infeasible;
-    if (moe.status == Status::error)
-        return Disposition::needEval;
-    const auto grad = cache.probeGrad(mi.gradId);
-    if (grad.status == Status::userError)
-        return Disposition::infeasible;
-    if (grad.status == Status::error)
-        return Disposition::needEval;
-    if (ji.nbKind == kUserError)
-        return Disposition::infeasible;
-    if (ji.nbKind == kError)
-        return Disposition::needEval;
-
-    // Additive reassembly of the exact per-batch time (the same
-    // terms the kernel computes, associated slightly differently).
-    const double cf = fwd.value / mi.workers;
-    const double cb = sc.bwdCompute * fwd.value / mi.workers;
-    const double wu = upd.value / mi.workers;
-    const double comm_tp_intra =
-        sc.fb * tp_intra_layer * sc.layersD * mi.stageOverlap;
-    const double comm_tp_inter =
-        sc.fb * tp_inter_layer * sc.layersD * mi.stageOverlap;
-    const double comm_pp = sc.fb * pp_layer * sc.layersD * sc.ppMult;
-    const double comm_moe = sc.fb * moe.value * mi.stageOverlap;
-    const double useful = cf + cb + comm_tp_intra + comm_tp_inter +
-                          comm_pp + comm_moe;
-    double bubble = 0.0;
-    if (mi.pp > 1)
-        bubble =
-            sc.bubbleRatio * (mi.ppD - 1.0) / entry.nub * useful;
-    const double time_per_batch = useful + wu + grad.value +
-                                  grad.value2 + bubble;
-    const double total = ji.numBatches * time_per_batch;
-    if (!std::isfinite(total))
+    case PointStatus::overMemory:
+        return Disposition::overMemory;
+    case PointStatus::failedPoint:
         return Disposition::needEval; // Will NaN-pin; key +infinity.
-    bound = total - kBoundMargin * std::abs(total);
+    case PointStatus::feasible:
+        break;
+    }
+    bound = result.totalTime - kBoundMargin * std::abs(result.totalTime);
     return Disposition::needEval;
 }
 
@@ -298,16 +190,6 @@ Optimizer::optimizeOver(
         return out;
     }
 
-    BoundScalars sc;
-    const auto &options = model_.options();
-    sc.layersD =
-        static_cast<double>(model_.opCounter().config().numLayers);
-    sc.bwdCompute = options.backwardComputeMultiplier;
-    sc.fb = (1.0 + options.zeroDpOverhead) *
-            (1.0 + options.backwardCommMultiplier);
-    sc.ppMult = options.ppCommMultiplier;
-    sc.bubbleRatio = options.bubbleOverlapRatio;
-
     // ---- Screen + bound every grid point (parallel, pure). ---------
     std::vector<Disposition> dispositions(count);
     std::vector<double> bounds(count);
@@ -316,10 +198,11 @@ Optimizer::optimizeOver(
     const RunStatus screen_status = ThreadPool::shared().parallelFor(
         mappings.size(), /*chunk=*/16,
         [&](std::size_t m) {
+            core::EvaluationResult scratch;
             for (std::size_t j = 0; j < num_jobs; ++j) {
                 const std::size_t index = m * num_jobs + j;
-                dispositions[index] = screenPoint(
-                    kernel, memory_model, sc, m, j, bounds[index]);
+                dispositions[index] =
+                    screenPoint(kernel, m, j, scratch, bounds[index]);
             }
         },
         token_, workers);
@@ -487,7 +370,7 @@ Optimizer::optimizeOver(
             best.result.microbatchSize);
         const core::HeterogeneousPipelineModel hetero(
             model_.opCounter(), stages, model_.system().interLink,
-            options.backwardComputeMultiplier);
+            model_.options().backwardComputeMultiplier);
         core::TrainingJob job = request.jobTemplate;
         job.batchSize = best.batchSize /
                         static_cast<double>(best.mapping.dp());

@@ -7,20 +7,18 @@
  * the paper actually poses — "which mapping is fastest?" — without
  * paying for the full grid:
  *
- *  1. Feasibility screen.  Every grid point is classified from the
- *     SweepKernel's constant tables before any evaluation: points
- *     whose mapping, job or microbatching provably fail validation
- *     are skipped outright, and (with a memory model) points whose
- *     footprint exceeds the device capacity are pruned without
- *     touching the evaluator.
- *  2. Admissible lower bounds.  The additive model's total is a sum
- *     of nonnegative terms, every one of which is an O(1) lookup in
- *     the primed core::SweepTermCache or a cheap closed form.
- *     Re-assembling them per point (scaled down by a 1e-9 relative
- *     margin to absorb floating-point reassociation) yields a lower
- *     bound on the point's total training time that never exceeds
- *     the sweep kernel's exact value (DESIGN.md "Branch-and-bound
- *     over the additive model" proves admissibility).
+ *  1. Feasibility screen.  Every grid point goes through the
+ *     kernel's step-order classifier (SweepKernel::classify) before
+ *     the search: points whose mapping, job or microbatching provably
+ *     fail validation are skipped outright, and (with a memory model)
+ *     points whose footprint exceeds the device capacity are pruned.
+ *     Neither counts as evaluated.
+ *  2. Admissible lower bounds.  Every term the classifier reads is an
+ *     O(1) probe of the primed core::SweepTermCache or a cheap closed
+ *     form, so a surviving point's bound is the kernel's exact total
+ *     scaled down by a 1e-9 relative margin: it never exceeds the
+ *     value the point evaluates to (DESIGN.md "Branch-and-bound over
+ *     the additive model").
  *  3. Best-first waves.  Surviving points are visited in ascending
  *     bound order in fixed-size waves: a point whose bound exceeds
  *     the current k-th best exact time is pruned; the rest are

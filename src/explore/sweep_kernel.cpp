@@ -39,93 +39,47 @@ struct DpPpKeyHash
 /** Grid points per work-queue grab inside a block. */
 constexpr std::size_t kPointChunk = 256;
 
+using core::runStep;
+using core::StepOutcome;
+
 } // namespace
 
-/**
- * Output columns for one block of grid points (structure of arrays).
- * Raw doubles on purpose: Quantity types are unwrapped at this
- * boundary and re-wrapped when the block is reduced, the same
- * boundary core::Breakdown draws for the scalar path.  The struct
- * lives in this translation unit only — raw-double columns with
- * dimension-implying names never enter a public header (the
- * tools/lint_units "Quantity boundary rule").
- */
-struct BlockColumns
+struct SweepKernel::MappingInfo
 {
-    std::vector<PointStatus> status;
-    std::vector<std::string> failures;
-    std::vector<double> computeForward;
-    std::vector<double> computeBackward;
-    std::vector<double> weightUpdate;
-    std::vector<double> commTpIntra;
-    std::vector<double> commTpInter;
-    std::vector<double> commPp;
-    std::vector<double> commMoe;
-    std::vector<double> commGradIntra;
-    std::vector<double> commGradInter;
-    std::vector<double> bubble;
-    std::vector<double> timePerBatch;
-    std::vector<double> numBatches;
-    std::vector<double> totalTime;
-    std::vector<double> microbatchSize;
-    std::vector<double> numMicrobatches;
-    std::vector<double> efficiency;
-    std::vector<double> achievedFlopsPerGpu;
-    std::vector<double> tokensPerSecond;
-
-    void resize(std::size_t n)
-    {
-        status.assign(n, PointStatus::infeasible);
-        failures.assign(n, std::string());
-        computeForward.assign(n, 0.0);
-        computeBackward.assign(n, 0.0);
-        weightUpdate.assign(n, 0.0);
-        commTpIntra.assign(n, 0.0);
-        commTpInter.assign(n, 0.0);
-        commPp.assign(n, 0.0);
-        commMoe.assign(n, 0.0);
-        commGradIntra.assign(n, 0.0);
-        commGradInter.assign(n, 0.0);
-        bubble.assign(n, 0.0);
-        timePerBatch.assign(n, 0.0);
-        numBatches.assign(n, 0.0);
-        totalTime.assign(n, 0.0);
-        microbatchSize.assign(n, 0.0);
-        numMicrobatches.assign(n, 0.0);
-        efficiency.assign(n, 0.0);
-        achievedFlopsPerGpu.assign(n, 0.0);
-        tokensPerSecond.assign(n, 0.0);
-    }
+    StepOutcome valid;          ///< validateFor(system).
+    std::uint32_t classIdx = 0; ///< (dp, pp) class index.
+    std::size_t gradId = 0;
 };
 
-namespace {
-
-/** Copies one feasible slot's columns into an EvaluationResult. */
-void
-packResult(const BlockColumns &cols, std::size_t slot,
-           core::EvaluationResult &r)
+struct SweepKernel::JobInfo
 {
-    r.perBatch.computeForward = cols.computeForward[slot];
-    r.perBatch.computeBackward = cols.computeBackward[slot];
-    r.perBatch.weightUpdate = cols.weightUpdate[slot];
-    r.perBatch.commTpIntra = cols.commTpIntra[slot];
-    r.perBatch.commTpInter = cols.commTpInter[slot];
-    r.perBatch.commPp = cols.commPp[slot];
-    r.perBatch.commMoe = cols.commMoe[slot];
-    r.perBatch.commGradIntra = cols.commGradIntra[slot];
-    r.perBatch.commGradInter = cols.commGradInter[slot];
-    r.perBatch.bubble = cols.bubble[slot];
-    r.timePerBatch = cols.timePerBatch[slot];
-    r.numBatches = cols.numBatches[slot];
-    r.totalTime = cols.totalTime[slot];
-    r.microbatchSize = cols.microbatchSize[slot];
-    r.numMicrobatches = cols.numMicrobatches[slot];
-    r.efficiency = cols.efficiency[slot];
-    r.achievedFlopsPerGpu = cols.achievedFlopsPerGpu[slot];
-    r.tokensPerSecond = cols.tokensPerSecond[slot];
-}
+    StepOutcome valid;   ///< job.validate().
+    StepOutcome batches; ///< job.numBatches(seq).
+    double numBatches = 0.0;
+    std::size_t flopsId = 0;
+};
 
-} // namespace
+/**
+ * The microbatch size, microbatch count and per-replica batch depend
+ * on the mapping only through dp() and pp(), so one row serves every
+ * mapping in the class.
+ */
+struct SweepKernel::JcEntry
+{
+    StepOutcome ubStep; ///< microbatchSize.
+    /**
+     * First failure of the remaining pre-term steps, in scalar
+     * evaluation order: numMicrobatches, then efficiency.
+     */
+    StepOutcome preStep;
+    double ub = 0.0;
+    double nub = 0.0;
+    double eff = 0.0;
+    double replicaBatch = 0.0;
+    std::size_t fwdId = 0;
+    std::size_t updId = 0;
+    std::size_t moeId = 0;
+};
 
 SweepKernel::SweepKernel(
     const core::AmpedModel &model,
@@ -136,17 +90,6 @@ SweepKernel::SweepKernel(
     : model_(model), memoryModel_(memory_model), mappings_(mappings),
       jobs_(jobs), token_(std::move(token)), cache_(model)
 {
-    const auto &cfg = model_.opCounter().config();
-    layersD_ = static_cast<double>(cfg.numLayers);
-    seqD_ = static_cast<double>(cfg.seqLength);
-    const auto &options = model_.options();
-    bwdCompute_ = options.backwardComputeMultiplier;
-    const double zero_factor = 1.0 + options.zeroDpOverhead;
-    const double bwd_factor = options.backwardCommMultiplier;
-    fb_ = zero_factor * (1.0 + bwd_factor);
-    ppMult_ = options.ppCommMultiplier;
-    bubbleRatio_ = options.bubbleOverlapRatio;
-
     const std::size_t num_jobs = jobs_.size();
 
     // ---- Per-mapping constants and (dp, pp) class assignment. ------
@@ -156,107 +99,51 @@ SweepKernel::SweepKernel(
     for (std::size_t i = 0; i < mappings_.size(); ++i) {
         const auto &m = mappings_[i];
         MappingInfo &info = mappingInfos_[i];
-        try {
-            m.validateFor(model_.system());
-        } catch (const UserError &) {
-            info.kind = kUserError;
-        } catch (const std::exception &e) {
-            info.kind = kError;
-            info.message = e.what();
-        }
-        info.pp = m.pp();
-        info.ppD = static_cast<double>(m.pp());
-        info.stageOverlap = 1.0 / static_cast<double>(m.pp());
-        info.workers = static_cast<double>(m.totalWorkers());
-        info.tpIntra = m.tpIntra;
-        info.tpInter = m.tpInter;
-        info.ppIntra = m.ppIntra;
-        info.ppInter = m.ppInter;
-        if (info.kind == kOk)
+        info.valid = runStep([&] { m.validateFor(model_.system()); });
+        if (info.valid.ok())
             info.gradId = cache_.registerGrad(m);
-        const DpPpKey key{m.dp(), m.pp()};
-        const auto it = class_ids.find(key);
-        if (it != class_ids.end()) {
-            info.classIdx = it->second;
-        } else {
-            info.classIdx =
-                static_cast<std::uint32_t>(class_representative.size());
-            class_ids.emplace(key, info.classIdx);
+        const auto [it, inserted] = class_ids.try_emplace(
+            DpPpKey{m.dp(), m.pp()},
+            static_cast<std::uint32_t>(class_representative.size()));
+        if (inserted)
             class_representative.push_back(i);
-            classMembers_.emplace_back();
-        }
-        classMembers_[info.classIdx].push_back(i);
+        info.classIdx = it->second;
     }
-    const std::size_t num_classes = class_representative.size();
+    numClasses_ = class_representative.size();
 
     // ---- Per-job constants. ----------------------------------------
+    const std::int64_t seq = model_.opCounter().config().seqLength;
     jobInfos_.resize(num_jobs);
     for (std::size_t j = 0; j < num_jobs; ++j) {
         const auto &job = jobs_[j];
         JobInfo &info = jobInfos_[j];
-        info.batch = job.batchSize;
-        try {
-            job.validate();
-        } catch (const UserError &) {
-            info.validKind = kUserError;
-        } catch (const std::exception &e) {
-            info.validKind = kError;
-            info.validMessage = e.what();
-        }
-        try {
-            info.numBatches = job.numBatches(cfg.seqLength);
-        } catch (const UserError &) {
-            info.nbKind = kUserError;
-        } catch (const std::exception &e) {
-            info.nbKind = kError;
-            info.nbMessage = e.what();
-        }
+        info.valid = runStep([&] { job.validate(); });
+        info.batches =
+            runStep([&] { info.numBatches = job.numBatches(seq); });
         info.flopsId = cache_.registerModelFlops(job.batchSize);
     }
 
     // ---- (job x class) microbatching table + term registration. ----
-    jc_.resize(num_jobs * num_classes);
+    jc_.resize(num_jobs * numClasses_);
     for (std::size_t j = 0; j < num_jobs; ++j) {
         const auto &job = jobs_[j];
-        for (std::size_t c = 0; c < num_classes; ++c) {
+        for (std::size_t c = 0; c < numClasses_; ++c) {
             const auto &rep = mappings_[class_representative[c]];
             JcEntry &entry = jc_[c * num_jobs + j];
-            try {
+            entry.ubStep = runStep([&] {
                 entry.ub = job.microbatching.microbatchSize(
                     job.batchSize, rep);
-            } catch (const UserError &e) {
-                entry.ubKind = kUserError;
-                entry.ubMessage = e.what();
-            } catch (const std::exception &e) {
-                entry.ubKind = kError;
-                entry.ubMessage = e.what();
-            }
-            if (entry.ubKind != kOk)
+            });
+            if (!entry.ubStep.ok())
                 continue;
-            try {
+            entry.preStep = runStep([&] {
                 entry.nub = job.microbatching.numMicrobatches(
                     job.batchSize, rep);
-            } catch (const UserError &e) {
-                entry.preKind = kUserError;
-                entry.preMessage = e.what();
-            } catch (const std::exception &e) {
-                entry.preKind = kError;
-                entry.preMessage = e.what();
-            }
-            if (entry.preKind == kOk) {
-                try {
-                    entry.eff = model_.efficiency()(entry.ub);
-                } catch (const UserError &e) {
-                    entry.preKind = kUserError;
-                    entry.preMessage = e.what();
-                } catch (const std::exception &e) {
-                    entry.preKind = kError;
-                    entry.preMessage = e.what();
-                }
-            }
+                entry.eff = model_.efficiency()(entry.ub);
+            });
             entry.replicaBatch =
                 job.batchSize / static_cast<double>(rep.dp());
-            if (entry.preKind != kOk)
+            if (!entry.preStep.ok())
                 continue;
             entry.fwdId = cache_.registerForwardCompute(job.batchSize,
                                                         entry.eff);
@@ -268,19 +155,27 @@ SweepKernel::SweepKernel(
     primeStatus_ = cache_.prime(max_workers, token_);
 }
 
-void
-SweepKernel::evaluatePointInto(std::size_t index, std::size_t slot,
-                               BlockColumns &cols) const
-{
-    const std::size_t num_jobs = jobs_.size();
-    const MappingInfo &mi = mappingInfos_[index / num_jobs];
-    const JobInfo &ji = jobInfos_[index % num_jobs];
-    const JcEntry &entry =
-        jc_[mi.classIdx * num_jobs + index % num_jobs];
+SweepKernel::~SweepKernel() = default;
 
-    const auto fail = [&](const std::string &message) {
-        cols.status[slot] = PointStatus::failedPoint;
-        cols.failures[slot] = message;
+PointStatus
+SweepKernel::classify(std::size_t mapping_index, std::size_t job_index,
+                      core::EvaluationResult &result,
+                      std::string *failure) const
+{
+    const mapping::ParallelismConfig &mapping = mappings_[mapping_index];
+    const double batch = jobs_[job_index].batchSize;
+    const MappingInfo &mi = mappingInfos_[mapping_index];
+    const JobInfo &ji = jobInfos_[job_index];
+    const JcEntry &jc = jc_[mi.classIdx * jobs_.size() + job_index];
+
+    // The first failing step decides the point (a StepOutcome or a
+    // Probe).
+    const auto stop = [failure](const auto &step) {
+        if (step.status == core::StepStatus::userError)
+            return PointStatus::infeasible;
+        if (failure != nullptr)
+            failure->assign(step.message);
+        return PointStatus::failedPoint;
     };
 
     // The scalar path's exact step order: with a memory model the
@@ -289,138 +184,101 @@ SweepKernel::evaluatePointInto(std::size_t index, std::size_t slot,
     // microbatch size is first derived inside evaluate(), after
     // the validations.
     if (memoryModel_ != nullptr) {
-        if (entry.ubKind == kUserError)
-            return; // infeasible (the default status)
-        if (entry.ubKind == kError)
-            return fail(entry.ubMessage);
+        if (!jc.ubStep.ok())
+            return stop(jc.ubStep);
         try {
-            if (!memoryModel_->fits(mappings_[index / num_jobs],
-                                    ji.batch, entry.ub)) {
-                cols.status[slot] = PointStatus::overMemory;
-                return;
-            }
+            if (!memoryModel_->fits(mapping, batch, jc.ub))
+                return PointStatus::overMemory;
         } catch (const UserError &) {
-            return;
+            return PointStatus::infeasible;
         } catch (const std::exception &e) {
-            return fail(e.what());
+            return stop(StepOutcome{core::StepStatus::error, e.what()});
         }
     }
-    if (mi.kind == kUserError)
-        return;
-    if (mi.kind == kError)
-        return fail(mi.message);
-    if (ji.validKind == kUserError)
-        return;
-    if (ji.validKind == kError)
-        return fail(ji.validMessage);
-    if (memoryModel_ == nullptr) {
-        if (entry.ubKind == kUserError)
-            return;
-        if (entry.ubKind == kError)
-            return fail(entry.ubMessage);
-    }
-    if (entry.preKind == kUserError)
-        return;
-    if (entry.preKind == kError)
-        return fail(entry.preMessage);
+    if (!mi.valid.ok())
+        return stop(mi.valid);
+    if (!ji.valid.ok())
+        return stop(ji.valid);
+    if (memoryModel_ == nullptr && !jc.ubStep.ok())
+        return stop(jc.ubStep);
+    if (!jc.preStep.ok())
+        return stop(jc.preStep);
 
+    // The terms, in the order AmpedModel::evaluate computes them.
+    core::PointTerms terms;
+    const auto fwd = cache_.probeForwardCompute(jc.fwdId);
+    if (!fwd.ok())
+        return stop(fwd);
+    const auto upd = cache_.probeWeightUpdate(jc.updId);
+    if (!upd.ok())
+        return stop(upd);
     try {
-        // Mirrors evaluate()'s assembly expression by expression;
-        // Quantity math unwraps into the raw columns exactly
-        // where the scalar path unwraps into Breakdown.
-        const Seconds fwd_total =
-            cache_.forwardComputeTotal(entry.fwdId);
-        const Seconds update_total =
-            cache_.weightUpdateTotal(entry.updId);
-        const double compute_forward =
-            (fwd_total / mi.workers).value();
-        const double compute_backward =
-            (bwdCompute_ * fwd_total / mi.workers).value();
-        cols.computeForward[slot] = compute_forward;
-        cols.computeBackward[slot] = compute_backward;
-        cols.weightUpdate[slot] =
-            (update_total / mi.workers).value();
-
-        const Seconds tp_intra_layer =
-            cache_.tpIntraCommTime(mi.tpIntra, entry.replicaBatch);
-        const Seconds tp_inter_layer =
-            cache_.tpInterCommTime(mi.tpInter, entry.replicaBatch);
-        const Seconds pp_layer = cache_.ppCommTime(
-            mi.ppIntra, mi.ppInter, entry.replicaBatch);
-        const Seconds moe_total =
-            cache_.moeForwardTotal(entry.moeId);
-        const double comm_tp_intra =
-            (fb_ * tp_intra_layer * layersD_ * mi.stageOverlap)
-                .value();
-        const double comm_tp_inter =
-            (fb_ * tp_inter_layer * layersD_ * mi.stageOverlap)
-                .value();
-        const double comm_pp =
-            (fb_ * pp_layer * layersD_ * ppMult_).value();
-        const double comm_moe =
-            (fb_ * moe_total * mi.stageOverlap).value();
-        cols.commTpIntra[slot] = comm_tp_intra;
-        cols.commTpInter[slot] = comm_tp_inter;
-        cols.commPp[slot] = comm_pp;
-        cols.commMoe[slot] = comm_moe;
-
-        const core::SweepTermCache::GradTotals grad =
-            cache_.gradTotals(mi.gradId);
-        cols.commGradIntra[slot] = grad.intra.value();
-        cols.commGradInter[slot] = grad.inter.value();
-
-        double bubble = 0.0;
-        if (mi.pp > 1) {
-            const double useful = compute_forward +
-                                  compute_backward + comm_tp_intra +
-                                  comm_tp_inter + comm_pp +
-                                  comm_moe;
-            bubble = bubbleRatio_ * (mi.ppD - 1.0) / entry.nub *
-                     useful;
-        }
-        cols.bubble[slot] = bubble;
-
-        // Breakdown::total() over the same ten columns.
-        core::Breakdown bd;
-        bd.computeForward = compute_forward;
-        bd.computeBackward = compute_backward;
-        bd.weightUpdate = cols.weightUpdate[slot];
-        bd.commTpIntra = comm_tp_intra;
-        bd.commTpInter = comm_tp_inter;
-        bd.commPp = comm_pp;
-        bd.commMoe = comm_moe;
-        bd.commGradIntra = cols.commGradIntra[slot];
-        bd.commGradInter = cols.commGradInter[slot];
-        bd.bubble = bubble;
-        const double time_per_batch = bd.total();
-        cols.timePerBatch[slot] = time_per_batch;
-
-        // evaluate() derives N_batch here; reproduce its failure
-        // position so exception classification matches.
-        if (ji.nbKind == kUserError)
-            return;
-        if (ji.nbKind == kError)
-            return fail(ji.nbMessage);
-        cols.numBatches[slot] = ji.numBatches;
-        cols.totalTime[slot] = ji.numBatches * time_per_batch;
-        cols.microbatchSize[slot] = entry.ub;
-        cols.numMicrobatches[slot] = entry.nub;
-        cols.efficiency[slot] = entry.eff;
-        cols.achievedFlopsPerGpu[slot] =
-            cache_.modelFlopsPerBatch(ji.flopsId) /
-            (time_per_batch * mi.workers);
-        cols.tokensPerSecond[slot] =
-            ji.batch * seqD_ / time_per_batch;
+        terms.tpIntraLayer =
+            model_.tpIntraCommTime(mapping, jc.replicaBatch);
+        terms.tpInterLayer =
+            model_.tpInterCommTime(mapping, jc.replicaBatch);
+        terms.ppLayer = model_.ppCommTime(mapping, jc.replicaBatch);
     } catch (const UserError &) {
-        cols.status[slot] = PointStatus::infeasible;
-        return;
+        return PointStatus::infeasible;
     } catch (const std::exception &e) {
-        return fail(e.what());
+        return stop(StepOutcome{core::StepStatus::error, e.what()});
     }
+    const auto moe = cache_.probeMoeForward(jc.moeId);
+    if (!moe.ok())
+        return stop(moe);
+    const auto grad = cache_.probeGrad(mi.gradId);
+    if (!grad.ok())
+        return stop(grad);
+    if (!ji.batches.ok())
+        return stop(ji.batches);
+    const auto flops = cache_.probeModelFlops(ji.flopsId);
+    if (!flops.ok())
+        return stop(flops);
 
-    if (!std::isfinite(cols.totalTime[slot]))
-        return fail("non-finite total time");
-    cols.status[slot] = PointStatus::feasible;
+    terms.forwardCompute = Seconds{fwd.value};
+    terms.weightUpdate = Seconds{upd.value};
+    terms.moeForward = Seconds{moe.value};
+    terms.gradIntra = Seconds{grad.value};
+    terms.gradInter = Seconds{grad.value2};
+    terms.microbatchSize = jc.ub;
+    terms.numMicrobatches = jc.nub;
+    terms.efficiency = jc.eff;
+    terms.numBatches = ji.numBatches;
+    terms.modelFlops = Flops{flops.value};
+    result = model_.assemble(mapping, batch, terms);
+    if (!std::isfinite(result.totalTime))
+        return stop(
+            StepOutcome{core::StepStatus::error, "non-finite total time"});
+    return PointStatus::feasible;
+}
+
+template <typename IndexOf>
+RunStatus
+SweepKernel::evaluateBlock(std::size_t count, IndexOf index_of,
+                           Outcome *out, unsigned max_workers) const
+{
+    // Each slot's status is always written; its result and failure
+    // only where that status makes them meaningful.
+    const std::size_t num_jobs = jobs_.size();
+    const std::size_t chunks = (count + kPointChunk - 1) / kPointChunk;
+    return ThreadPool::shared().parallelFor(
+        chunks, /*chunk=*/1,
+        [&](std::size_t chunk_index) {
+            const std::size_t begin = chunk_index * kPointChunk;
+            const std::size_t end = std::min(begin + kPointChunk, count);
+            for (std::size_t slot = begin; slot < end; ++slot) {
+                const std::size_t index = index_of(slot);
+                Outcome &outcome = out[slot];
+                outcome.status =
+                    classify(index / num_jobs, index % num_jobs,
+                             outcome.result, &outcome.failure);
+                if (outcome.status == PointStatus::failedPoint)
+                    outcome.result = nanPinnedResult();
+            }
+        },
+        token_,
+        max_workers > 0 ? max_workers
+                        : ThreadPool::defaultThreadCount());
 }
 
 core::EvaluationResult
@@ -462,7 +320,7 @@ SweepKernel::sweepGrid(unsigned max_workers) const
     // (recording the cancellation latency exactly once) and returns
     // before any pending cache entry could be read.
 
-    BlockColumns cols;
+    std::vector<Outcome> outcomes(std::min(kSweepBlockPoints, count));
     for (std::size_t base = 0; base < count;
          base += kSweepBlockPoints) {
         // THE deterministic cancellation point: exactly one
@@ -477,25 +335,12 @@ SweepKernel::sweepGrid(unsigned max_workers) const
 
         const std::size_t block =
             std::min(kSweepBlockPoints, count - base);
-        cols.resize(block);
-
-        const std::size_t chunks =
-            (block + kPointChunk - 1) / kPointChunk;
-        const RunStatus loop = ThreadPool::shared().parallelFor(
-            chunks, /*chunk=*/1,
-            [&](std::size_t chunk_index) {
-                const std::size_t begin = chunk_index * kPointChunk;
-                const std::size_t end =
-                    std::min(begin + kPointChunk, block);
-                for (std::size_t slot = begin; slot < end; ++slot)
-                    evaluatePointInto(base + slot, slot, cols);
-            },
-            token_,
-            max_workers > 0 ? max_workers
-                            : ThreadPool::defaultThreadCount());
+        const RunStatus loop = evaluateBlock(
+            block, [base](std::size_t slot) { return base + slot; },
+            outcomes.data(), max_workers);
         if (loop != RunStatus::Completed) {
-            // Mid-block stop: the block's columns are torn, so it is
-            // discarded whole — the published prefix stays exact.
+            // Mid-block stop: the block is torn, so it is discarded
+            // whole — the published prefix stays exact.
             out.status = loop;
             out.cancelledUnvisited = count - base;
             return out;
@@ -506,37 +351,26 @@ SweepKernel::sweepGrid(unsigned max_workers) const
         // thread count.
         for (std::size_t slot = 0; slot < block; ++slot) {
             const std::size_t index = base + slot;
-            switch (cols.status[slot]) {
-            case PointStatus::feasible: {
-                SweepEntry entry;
-                entry.mapping = mappings_[index / num_jobs];
-                entry.batchSize = jobs_[index % num_jobs].batchSize;
-                packResult(cols, slot, entry.result);
-                out.entries.push_back(std::move(entry));
-                break;
-            }
+            const Outcome &outcome = outcomes[slot];
+            const auto &m = mappings_[index / num_jobs];
+            const double batch = jobs_[index % num_jobs].batchSize;
+            switch (outcome.status) {
             case PointStatus::infeasible:
                 ++out.skipped;
-                break;
+                continue;
             case PointStatus::overMemory:
                 ++out.memorySkipped;
-                break;
-            case PointStatus::failedPoint: {
-                const auto &m = mappings_[index / num_jobs];
-                const double batch =
-                    jobs_[index % num_jobs].batchSize;
+                continue;
+            case PointStatus::failedPoint:
                 log::warn("sweep point ", m.toString(), " batch ",
-                          batch, " failed (", cols.failures[slot],
+                          batch, " failed (", outcome.failure,
                           "); pinning it to nan");
-                SweepEntry entry;
-                entry.mapping = m;
-                entry.batchSize = batch;
-                entry.result = nanPinnedResult();
-                out.entries.push_back(std::move(entry));
                 ++out.failed;
                 break;
+            case PointStatus::feasible:
+                break;
             }
-            }
+            out.entries.push_back(SweepEntry{m, batch, outcome.result});
         }
         out.visitedPoints += block;
     }
@@ -551,10 +385,6 @@ SweepKernel::evaluatePoints(const std::vector<std::size_t> &indices,
     if (primeStatus_ != RunStatus::Completed)
         return primeStatus_;
     const std::size_t count = indices.size();
-    if (count == 0)
-        return RunStatus::Completed;
-
-    BlockColumns cols;
     for (std::size_t base = 0; base < count;
          base += kSweepBlockPoints) {
         // Passive poll only — checkpoint discipline belongs to the
@@ -565,42 +395,15 @@ SweepKernel::evaluatePoints(const std::vector<std::size_t> &indices,
 
         const std::size_t block =
             std::min(kSweepBlockPoints, count - base);
-        cols.resize(block);
-
-        const std::size_t chunks =
-            (block + kPointChunk - 1) / kPointChunk;
-        const RunStatus loop = ThreadPool::shared().parallelFor(
-            chunks, /*chunk=*/1,
-            [&](std::size_t chunk_index) {
-                const std::size_t begin = chunk_index * kPointChunk;
-                const std::size_t end =
-                    std::min(begin + kPointChunk, block);
-                for (std::size_t slot = begin; slot < end; ++slot)
-                    evaluatePointInto(indices[base + slot], slot,
-                                      cols);
-            },
-            token_,
-            max_workers > 0 ? max_workers
-                            : ThreadPool::defaultThreadCount());
-        if (loop != RunStatus::Completed)
-            return loop; // Torn block: discard, outcomes untouched.
-
-        for (std::size_t slot = 0; slot < block; ++slot) {
-            Outcome outcome;
-            outcome.status = cols.status[slot];
-            switch (cols.status[slot]) {
-            case PointStatus::feasible:
-                packResult(cols, slot, outcome.result);
-                break;
-            case PointStatus::failedPoint:
-                outcome.failure = std::move(cols.failures[slot]);
-                outcome.result = nanPinnedResult();
-                break;
-            case PointStatus::infeasible:
-            case PointStatus::overMemory:
-                break;
-            }
-            outcomes.push_back(std::move(outcome));
+        const std::size_t first = outcomes.size();
+        outcomes.resize(first + block);
+        const RunStatus loop = evaluateBlock(
+            block,
+            [&](std::size_t slot) { return indices[base + slot]; },
+            outcomes.data() + first, max_workers);
+        if (loop != RunStatus::Completed) {
+            outcomes.resize(first); // Torn block: discard it whole.
+            return loop;
         }
     }
     return RunStatus::Completed;

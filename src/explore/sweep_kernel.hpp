@@ -9,42 +9,36 @@
  * A SweepKernel restructures the computation around the grid.  It
  * owns, for one (mappings x jobs) grid:
  *
- *  1. The grid-constant tables: per-mapping facts (MappingInfo),
- *     per-job facts (JobInfo), and the (job x (dp, pp)-class) table
- *     of microbatching facts (JcEntry).  Two mappings share a class
- *     when they agree on the total data-parallel and pipeline
- *     degrees; within a class every compute term of the additive
- *     model is constant and only the communication terms vary with
- *     the intra/inter split.
+ *  1. The grid-constant tables: per-mapping facts, per-job facts, and
+ *     the (job x (dp, pp)-class) table of microbatching facts.  Two
+ *     mappings share a class when they agree on the total
+ *     data-parallel and pipeline degrees; within a class every
+ *     compute term of the additive model is constant and only the
+ *     communication terms vary with the intra/inter split.
  *  2. A primed core::SweepTermCache serving every distinct per-layer
- *     sum as an O(1) lookup (primed once, in parallel).
- *  3. The per-point evaluator that classifies a grid point as
- *     feasible / infeasible / over-memory / failed and assembles its
- *     core::EvaluationResult into raw-double structure-of-arrays
- *     columns, block by block, on the shared pool.  sweepGrid reduces
- *     each block serially in grid order into a SweepResult;
- *     evaluatePoints serves an index list.
+ *     sum as an O(1) probe (primed once, in parallel).
+ *  3. The step-order classifier (classify) that decides whether a
+ *     grid point is feasible / infeasible / over-memory / failed and,
+ *     for a feasible point, hands its term sums to
+ *     core::AmpedModel::assemble.  sweepGrid runs it block by block
+ *     on the shared pool and reduces each block serially in grid
+ *     order into a SweepResult; evaluatePoints serves an index list;
+ *     the optimizer's bound calls it directly.
  *
  * The result is byte-identical to evaluating every point through the
  * scalar AmpedModel::evaluate — entry order and values, skip /
  * memory-skip / failed counters, NaN pinning, and the grid-ordered
- * warning lines — at every thread count (the contract in
- * core/batch_terms.hpp).  testing::sweepJobsScalar is that scalar
- * reference; tests/test_explore_batch.cpp holds the two to the same
- * bytes over randomized grids.
- *
- * The class tables and the term cache are deliberately exposed
- * read-only: the optimizer's admissible lower bounds are assembled
- * from exactly these values (DESIGN.md "Branch-and-bound over the
- * additive model"), so any change to the evaluation order here is a
- * change to the bound's contract as well.
+ * warning lines — at every thread count: both paths compose the
+ * point through the same AmpedModel::assemble from the same term
+ * functions (core/batch_terms.hpp).  testing::sweepJobsScalar is the
+ * scalar reference; tests/test_explore_batch.cpp holds the two to the
+ * same bytes over randomized grids.
  */
 
 #ifndef AMPED_EXPLORE_SWEEP_KERNEL_HPP
 #define AMPED_EXPLORE_SWEEP_KERNEL_HPP
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -56,10 +50,10 @@ namespace amped {
 namespace explore {
 
 /**
- * Points per SoA block: caps column memory at a few megabytes, and —
- * because sweepGrid calls CancelToken::checkpoint() exactly once per
- * block — defines the cancellation granularity: a stopped sweep's
- * result is always a whole number of blocks.
+ * Points per block: caps the block's outcome buffer at a few
+ * megabytes, and — because sweepGrid calls CancelToken::checkpoint()
+ * exactly once per block — defines the cancellation granularity: a
+ * stopped sweep's result is always a whole number of blocks.
  */
 inline constexpr std::size_t kSweepBlockPoints = std::size_t{1} << 16;
 
@@ -78,71 +72,6 @@ enum class PointStatus : unsigned char
     feasible,
     failedPoint
 };
-
-/** How a pre-computed sub-step ended (0 = fine). */
-enum FailKind : unsigned char
-{
-    kOk = 0,
-    kUserError = 1, ///< Scalar path throws UserError here.
-    kError = 2      ///< Scalar path throws another std::exception.
-};
-
-/** Grid-constant facts about one mapping. */
-struct MappingInfo
-{
-    FailKind kind = kOk;  ///< validateFor(system) outcome.
-    std::string message;  ///< what() when kind == kError.
-    std::uint32_t classIdx = 0; ///< (dp, pp) class index.
-    double workers = 0.0; ///< double(totalWorkers()).
-    double ppD = 0.0;     ///< double(pp()).
-    double stageOverlap = 0.0; ///< 1.0 / double(pp()).
-    std::int64_t pp = 1;
-    std::int64_t tpIntra = 1;
-    std::int64_t tpInter = 1;
-    std::int64_t ppIntra = 1;
-    std::int64_t ppInter = 1;
-    std::size_t gradId = 0;
-};
-
-/** Grid-constant facts about one job. */
-struct JobInfo
-{
-    FailKind validKind = kOk; ///< job.validate() outcome.
-    std::string validMessage;
-    FailKind nbKind = kOk; ///< job.numBatches(seq) outcome.
-    std::string nbMessage;
-    double batch = 0.0;
-    double numBatches = 0.0;
-    std::size_t flopsId = 0;
-};
-
-/**
- * Per-(job x (dp, pp)-class) microbatching facts.  The microbatch
- * size, microbatch count and per-replica batch depend on the mapping
- * only through dp() and pp(), so one row serves every mapping in the
- * class.
- */
-struct JcEntry
-{
-    FailKind ubKind = kOk; ///< microbatchSize outcome.
-    std::string ubMessage;
-    /**
-     * First failure of the remaining pre-term steps, recorded in
-     * scalar evaluation order: numMicrobatches, then efficiency.
-     */
-    FailKind preKind = kOk;
-    std::string preMessage;
-    double ub = 0.0;
-    double nub = 0.0;
-    double eff = 0.0;
-    double replicaBatch = 0.0;
-    std::size_t fwdId = 0;
-    std::size_t updId = 0;
-    std::size_t moeId = 0;
-};
-
-/** SoA output columns for one block of points (sweep_kernel.cpp). */
-struct BlockColumns;
 
 /**
  * One grid's evaluation state: constant tables, primed term cache
@@ -175,9 +104,11 @@ class SweepKernel
                 const std::vector<core::TrainingJob> &jobs,
                 unsigned max_workers, CancelToken token = {});
 
+    ~SweepKernel();
+
     /**
      * How the construction-time cache prime ended.  Non-Completed
-     * means the kernel must not evaluate points (term lookups would
+     * means the kernel must not evaluate points (term probes would
      * hit unprimed entries); callers surface the status instead.
      */
     RunStatus primeStatus() const { return primeStatus_; }
@@ -192,8 +123,8 @@ class SweepKernel
     };
 
     /**
-     * Evaluates the whole grid with the SoA block loop and reduces
-     * it in grid order — the engine behind Explorer::sweepJobs.
+     * Evaluates the whole grid block by block and reduces it in grid
+     * order — the engine behind Explorer::sweepJobs.
      *
      * The construction token is checkpointed once before each block;
      * a stop returns the deterministic block-prefix (status /
@@ -216,6 +147,20 @@ class SweepKernel
                              std::vector<Outcome> &outcomes,
                              unsigned max_workers) const;
 
+    /**
+     * Classifies one grid point in the scalar path's exact step order
+     * and, when every step succeeds, assembles its result through
+     * core::AmpedModel::assemble.  The first failing step decides: a
+     * UserError makes the point infeasible, any other failure (or a
+     * non-finite total time) makes it failedPoint.
+     *
+     * @param result Receives the assembled result when feasible.
+     * @param failure When non-null, receives a failedPoint's message.
+     */
+    PointStatus classify(std::size_t mapping_index, std::size_t job_index,
+                         core::EvaluationResult &result,
+                         std::string *failure) const;
+
     std::size_t numMappings() const { return mappings_.size(); }
     std::size_t numJobs() const { return jobs_.size(); }
     std::size_t numPoints() const
@@ -224,70 +169,25 @@ class SweepKernel
     }
 
     /** Number of distinct (dp, pp) mapping classes. */
-    std::size_t numClasses() const { return classMembers_.size(); }
-
-    const MappingInfo &mappingInfo(std::size_t mapping_index) const
-    {
-        return mappingInfos_[mapping_index];
-    }
-
-    const JobInfo &jobInfo(std::size_t job_index) const
-    {
-        return jobInfos_[job_index];
-    }
-
-    const JcEntry &jcEntry(std::uint32_t class_index,
-                           std::size_t job_index) const
-    {
-        return jc_[class_index * jobs_.size() + job_index];
-    }
-
-    /** Mapping indices belonging to one class, ascending. */
-    const std::vector<std::size_t> &
-    classMembers(std::uint32_t class_index) const
-    {
-        return classMembers_[class_index];
-    }
-
-    const mapping::ParallelismConfig &
-    mappingAt(std::size_t mapping_index) const
-    {
-        return mappings_[mapping_index];
-    }
-
-    const core::TrainingJob &jobAt(std::size_t job_index) const
-    {
-        return jobs_[job_index];
-    }
-
-    /** The primed term cache (bound-side probes live here). */
-    const core::SweepTermCache &termCache() const { return cache_; }
-
-    const core::AmpedModel &model() const { return model_; }
-
-    /** The memory screen, or nullptr when screening is off. */
-    const core::MemoryModel *memoryScreen() const
-    {
-        return memoryModel_;
-    }
+    std::size_t numClasses() const { return numClasses_; }
 
   private:
-    /** The exact per-point evaluator (columns stay in the .cpp). */
-    void evaluatePointInto(std::size_t index, std::size_t slot,
-                           BlockColumns &cols) const;
+    struct MappingInfo; ///< Grid-constant facts about one mapping.
+    struct JobInfo;     ///< Grid-constant facts about one job.
+    struct JcEntry;     ///< Per-(job x class) microbatching facts.
+
+    /**
+     * Evaluates @p count points, the slot-th at grid index
+     * index_of(slot), into out[0, count) on the shared pool.
+     */
+    template <typename IndexOf>
+    RunStatus evaluateBlock(std::size_t count, IndexOf index_of,
+                            Outcome *out, unsigned max_workers) const;
 
     const core::AmpedModel &model_;
     const core::MemoryModel *memoryModel_;
     const std::vector<mapping::ParallelismConfig> &mappings_;
     const std::vector<core::TrainingJob> &jobs_;
-
-    // Model-option scalars hoisted once.
-    double layersD_ = 0.0;
-    double seqD_ = 0.0;
-    double bwdCompute_ = 0.0;
-    double fb_ = 0.0;
-    double ppMult_ = 0.0;
-    double bubbleRatio_ = 0.0;
 
     CancelToken token_;
     RunStatus primeStatus_ = RunStatus::Completed;
@@ -296,7 +196,7 @@ class SweepKernel
     std::vector<MappingInfo> mappingInfos_;
     std::vector<JobInfo> jobInfos_;
     std::vector<JcEntry> jc_;
-    std::vector<std::vector<std::size_t>> classMembers_;
+    std::size_t numClasses_ = 0;
 };
 
 } // namespace explore

@@ -92,7 +92,6 @@ computeRateSnapshot(const AcceleratorConfig &accel)
 {
     accel.validate();
     ComputeRateSnapshot snap;
-    snap.peakMacFlops = accel.peakMacFlops();
     snap.cNonlin = cNonlin(accel);
     snap.macFactor = macPrecisionFactor(accel.precisions);
     snap.nonlinFactor = nonlinPrecisionFactor(accel.precisions);

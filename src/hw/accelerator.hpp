@@ -103,17 +103,16 @@ struct AcceleratorConfig
 };
 
 /**
- * Immutable snapshot of every accelerator-derived rate the compute
- * equations read per evaluation.  The scalar evaluator re-derives
- * these from the AcceleratorConfig on every call (they are cheap);
- * the batched sweep kernels (core::SweepTermCache) capture them once
- * and reuse them across millions of grid points.  Every field is the
+ * Immutable snapshot of the accelerator-derived rates that do not
+ * depend on eff(ub).  core::AmpedModel captures it once at
+ * construction; core::SweepTermCache reads it when it re-prices a
+ * per-batch op table at many efficiencies.  Every field is the
  * bit-exact result of the corresponding helper below, so a
- * snapshot-based evaluation reproduces the scalar path exactly.
+ * snapshot-based evaluation matches core::layerForwardComputeTime
+ * exactly.
  */
 struct ComputeRateSnapshot
 {
-    FlopsPerSecond peakMacFlops;  ///< AcceleratorConfig::peakMacFlops().
     SecondsPerFlop cNonlin;       ///< hw::cNonlin(accel).
     double macFactor = 1.0;       ///< hw::macPrecisionFactor.
     double nonlinFactor = 1.0;    ///< hw::nonlinPrecisionFactor.

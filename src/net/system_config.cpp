@@ -53,9 +53,9 @@ SystemConfig::snapshot() const
     snap.numNodes = numNodes;
     snap.interIsPooledFabric = interIsPooledFabric;
     snap.intraLink = intraLink;
-    // The link names match the ad-hoc LinkConfigs the scalar
-    // evaluator builds (AmpedModel::interLinkEffective and
-    // ppCommTime's hop link); names never enter the math.
+    // The derived inter-node links: one stream's share for ring and
+    // all-to-all traffic, the node aggregate for a pipeline hop.
+    // Names never enter the math.
     snap.interEffective = LinkConfig{"inter-effective", interLatency(),
                                      perStreamInterBandwidth()};
     snap.interHop =

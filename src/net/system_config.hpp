@@ -98,13 +98,12 @@ struct SystemConfig
 
 /**
  * Immutable snapshot of every system-derived link parameter the
- * communication equations read per evaluation.  The scalar evaluator
- * re-derives these per call — including re-constructing the
- * "inter-effective" and "inter-hop" LinkConfigs (a heap-allocated
- * name string each) on every sweep point.  The batched sweep kernels
- * capture them once; every field is the bit-exact result of the
- * corresponding SystemConfig accessor, so snapshot-based evaluation
- * reproduces the scalar path exactly.
+ * communication equations read.  core::AmpedModel captures it once
+ * at construction, so its communication terms — on the scalar path
+ * and in the sweep kernel alike — neither re-derive the bandwidths
+ * nor rebuild the "inter-effective" and "inter-hop" links per call.
+ * Every field is the bit-exact result of the corresponding
+ * SystemConfig accessor.
  */
 struct SystemSnapshot
 {

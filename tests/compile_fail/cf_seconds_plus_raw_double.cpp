@@ -1,7 +1,7 @@
-// The batch kernels' boundary rule (DESIGN.md): values crossing
-// from a raw-double SoA column back into model code must be
-// re-wrapped explicitly -- `time + Seconds{column[i]}`.  Adding a
-// bare column element to a quantity must not compile, or the
+// The sweep engine's boundary rule (DESIGN.md): raw doubles crossing
+// back into model code -- a memoised term's probe value, a column
+// element -- must be re-wrapped explicitly, `time + Seconds{x}`.
+// Adding a bare element to a quantity must not compile, or the
 // wrapping discipline is unenforceable.
 #include <vector>
 

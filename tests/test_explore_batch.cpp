@@ -12,7 +12,10 @@
  * — mixed feasible / infeasible / over-memory / poisoned points,
  * with and without a memory screen, with microbatching overrides —
  * through both engines at thread counts 1, 2 and 8 and asserts
- * exactly that.
+ * exactly that.  The grids vary the model (dense, MoE, minGPT), the
+ * inter-node fabric (per-NIC or pooled) and every ModelOptions knob
+ * (testutil::randomGridModel), so each term of the additive model is
+ * compared away from its default value.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +31,7 @@
 #include "core/memory_model.hpp"
 #include "explore/explorer.hpp"
 #include "explore/sweep_kernel.hpp"
+#include "explore_test_util.hpp"
 #include "hw/presets.hpp"
 #include "model/presets.hpp"
 #include "testing/scalar_sweep.hpp"
@@ -36,65 +40,7 @@ namespace amped {
 namespace explore {
 namespace {
 
-net::SystemConfig
-testSystem()
-{
-    net::SystemConfig sys;
-    sys.name = "test-4x4";
-    sys.numNodes = 4;
-    sys.acceleratorsPerNode = 4;
-    sys.intraLink =
-        net::LinkConfig{"intra", Seconds{1e-6}, BitsPerSecond{2.4e12}};
-    sys.interLink =
-        net::LinkConfig{"inter", Seconds{2e-6}, BitsPerSecond{2e11}};
-    sys.nicsPerNode = 4;
-    return sys;
-}
-
-core::AmpedModel
-tinyModel()
-{
-    return core::AmpedModel(model::presets::tinyTest(),
-                            hw::presets::tinyTest(),
-                            hw::MicrobatchEfficiency(0.8, 4.0),
-                            testSystem());
-}
-
-core::AmpedModel
-minGptModel()
-{
-    return core::AmpedModel(model::presets::minGpt85M(),
-                            hw::presets::tinyTest(),
-                            hw::MicrobatchEfficiency(0.8, 4.0),
-                            testSystem());
-}
-
-std::uint64_t
-bits(double value)
-{
-    std::uint64_t out = 0;
-    static_assert(sizeof(out) == sizeof(value));
-    std::memcpy(&out, &value, sizeof(out));
-    return out;
-}
-
-/** Every numeric field of one sweep entry, as bit patterns. */
-std::vector<std::uint64_t>
-entryBits(const SweepEntry &entry)
-{
-    const auto &r = entry.result;
-    const auto &b = r.perBatch;
-    return {bits(entry.batchSize),      bits(b.computeForward),
-            bits(b.computeBackward),    bits(b.weightUpdate),
-            bits(b.commTpIntra),        bits(b.commTpInter),
-            bits(b.commPp),             bits(b.commMoe),
-            bits(b.commGradIntra),      bits(b.commGradInter),
-            bits(b.bubble),             bits(r.timePerBatch),
-            bits(r.numBatches),         bits(r.totalTime),
-            bits(r.microbatchSize),     bits(r.numMicrobatches),
-            bits(r.efficiency),         bits(r.achievedFlopsPerGpu),
-            bits(r.tokensPerSecond)};
-}
+using testutil::entryBits;
 
 /**
  * Runs one (mappings x jobs) grid through the kernel (batched) or
@@ -148,8 +94,7 @@ expectIdentical(const SweepResult &ref, const SweepResult &got,
 TEST(ExploreBatchProperty, RandomGridsAreByteIdenticalAcrossEnginesAndThreads)
 {
     std::mt19937 rng(0xA3BED5EEu);
-    const auto tiny = tinyModel();
-    const auto mingpt = minGptModel();
+    std::mt19937 model_rng(0x5EED0F75u);
     // No activation recomputation: low-parallelism minGPT points
     // overflow the tiny 4 GB device, exercising memorySkipped.
     core::MemoryOptions screen_options;
@@ -159,18 +104,18 @@ TEST(ExploreBatchProperty, RandomGridsAreByteIdenticalAcrossEnginesAndThreads)
         hw::presets::tinyTest(), screen_options);
 
     const auto all_mappings =
-        mapping::MappingSpace(testSystem()).enumerate();
+        mapping::MappingSpace(testutil::testSystem()).enumerate();
     ASSERT_GT(all_mappings.size(), 4u);
 
     std::size_t total_feasible = 0;
+    std::size_t total_moe = 0;
     std::size_t total_skipped = 0;
     std::size_t total_memory = 0;
     std::size_t total_failed = 0;
     for (int grid = 0; grid < 200; ++grid) {
-        const bool use_mingpt = grid % 2 == 1;
-        const auto &model = use_mingpt ? mingpt : tiny;
+        const auto model = testutil::randomGridModel(grid, model_rng);
         const core::MemoryModel *mem =
-            use_mingpt && grid % 4 == 1 ? &screen : nullptr;
+            grid % 4 == 1 ? &screen : nullptr; // minGPT grids only
 
         std::uniform_int_distribution<std::size_t> pick(
             0, all_mappings.size() - 1);
@@ -213,6 +158,9 @@ TEST(ExploreBatchProperty, RandomGridsAreByteIdenticalAcrossEnginesAndThreads)
         total_skipped += ref.skipped;
         total_memory += ref.memorySkipped;
         total_failed += ref.failed;
+        for (const auto &entry : ref.entries)
+            if (entry.result.perBatch.commMoe > 0.0)
+                ++total_moe;
 
         const struct
         {
@@ -242,6 +190,7 @@ TEST(ExploreBatchProperty, RandomGridsAreByteIdenticalAcrossEnginesAndThreads)
     EXPECT_GT(total_skipped, 0u);
     EXPECT_GT(total_memory, 0u);
     EXPECT_GT(total_failed, 0u);
+    EXPECT_GT(total_moe, 0u);
 }
 
 TEST(ExploreBatchTest, NanPinnedResultIsAllNaN)

@@ -119,7 +119,7 @@ expectEntryPrefixEqual(const std::vector<explore::SweepEntry> &full,
 
 /**
  * A sweep tripped at the second block checkpoint stops with exactly
- * one SoA block visited, and its entries/counters are bit-identical
+ * one block visited, and its entries/counters are bit-identical
  * to the same prefix of the full run — on the kernel and the scalar
  * reference, at thread counts 1, 2, and 8.
  */
@@ -128,7 +128,7 @@ TEST(ExplorerCancelTest, TrippedSweepIsDeterministicPrefixOfFullRun)
     const auto mappings =
         mapping::MappingSpace(cancelSystem()).enumerate(0);
     ASSERT_GT(mappings.size(), 0u);
-    // Enough batch sizes that the grid spans more than one SoA
+    // Enough batch sizes that the grid spans more than one
     // block, so a trip at the second checkpoint leaves work undone.
     std::vector<double> batches;
     while (mappings.size() * batches.size() <=

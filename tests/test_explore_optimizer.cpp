@@ -11,7 +11,10 @@
  *     counts 1, 2 and 8.  Counters must be thread-count-invariant
  *     and partition the grid exactly; any grid where the bound
  *     pruned points while the ranking still matches brute force is
- *     direct evidence the bound never discarded a true winner.
+ *     direct evidence the bound never discarded a true winner.  The
+ *     grids vary the model (dense, MoE, minGPT), the inter-node
+ *     fabric and every ModelOptions knob the bound sums over
+ *     (testutil::randomGridModel).
  *  2. Degenerate searches.  Infeasible-everywhere grids, one-device
  *     clusters, prime device counts and expert-parallel requests on
  *     dense models must produce diagnosable empty/short results or
@@ -35,6 +38,7 @@
 #include "core/memory_model.hpp"
 #include "explore/explorer.hpp"
 #include "explore/optimizer.hpp"
+#include "explore_test_util.hpp"
 #include "hw/presets.hpp"
 #include "model/presets.hpp"
 #include "net/system_config.hpp"
@@ -45,20 +49,8 @@ namespace amped {
 namespace explore {
 namespace {
 
-net::SystemConfig
-testSystem()
-{
-    net::SystemConfig sys;
-    sys.name = "test-4x4";
-    sys.numNodes = 4;
-    sys.acceleratorsPerNode = 4;
-    sys.intraLink =
-        net::LinkConfig{"intra", Seconds{1e-6}, BitsPerSecond{2.4e12}};
-    sys.interLink =
-        net::LinkConfig{"inter", Seconds{2e-6}, BitsPerSecond{2e11}};
-    sys.nicsPerNode = 4;
-    return sys;
-}
+using testutil::entryBits;
+using testutil::testSystem;
 
 core::AmpedModel
 tinyModel(const net::SystemConfig &sys = testSystem())
@@ -66,42 +58,6 @@ tinyModel(const net::SystemConfig &sys = testSystem())
     return core::AmpedModel(model::presets::tinyTest(),
                             hw::presets::tinyTest(),
                             hw::MicrobatchEfficiency(0.8, 4.0), sys);
-}
-
-core::AmpedModel
-minGptModel()
-{
-    return core::AmpedModel(model::presets::minGpt85M(),
-                            hw::presets::tinyTest(),
-                            hw::MicrobatchEfficiency(0.8, 4.0),
-                            testSystem());
-}
-
-std::uint64_t
-bits(double value)
-{
-    std::uint64_t out = 0;
-    static_assert(sizeof(out) == sizeof(value));
-    std::memcpy(&out, &value, sizeof(out));
-    return out;
-}
-
-/** Every numeric field of one sweep entry, as bit patterns. */
-std::vector<std::uint64_t>
-entryBits(const SweepEntry &entry)
-{
-    const auto &r = entry.result;
-    const auto &b = r.perBatch;
-    return {bits(entry.batchSize),      bits(b.computeForward),
-            bits(b.computeBackward),    bits(b.weightUpdate),
-            bits(b.commTpIntra),        bits(b.commTpInter),
-            bits(b.commPp),             bits(b.commMoe),
-            bits(b.commGradIntra),      bits(b.commGradInter),
-            bits(b.bubble),             bits(r.timePerBatch),
-            bits(r.numBatches),         bits(r.totalTime),
-            bits(r.microbatchSize),     bits(r.numMicrobatches),
-            bits(r.efficiency),         bits(r.achievedFlopsPerGpu),
-            bits(r.tokensPerSecond)};
 }
 
 /**
@@ -194,8 +150,7 @@ expectSameCounters(const OptimizerCounters &a,
 TEST(ExploreOptimizerProperty, TopKMatchesBruteForceOverRandomGrids)
 {
     std::mt19937 rng(0xB0DDED17u);
-    const auto tiny = tinyModel();
-    const auto mingpt = minGptModel();
+    std::mt19937 model_rng(0x0B71E5EDu);
     // No activation recomputation: low-parallelism minGPT points
     // overflow the tiny 4 GB device, exercising the memory screen.
     core::MemoryOptions screen_options;
@@ -209,11 +164,11 @@ TEST(ExploreOptimizerProperty, TopKMatchesBruteForceOverRandomGrids)
     ASSERT_GT(all_mappings.size(), 4u);
 
     OptimizerCounters totals;
+    std::size_t ranked_moe = 0;
     for (int grid = 0; grid < 200; ++grid) {
-        const bool use_mingpt = grid % 2 == 1;
-        const auto &model = use_mingpt ? mingpt : tiny;
+        const auto model = testutil::randomGridModel(grid, model_rng);
         const core::MemoryModel *mem =
-            use_mingpt && grid % 4 == 1 ? &screen : nullptr;
+            grid % 4 == 1 ? &screen : nullptr; // minGPT grids only
 
         std::uniform_int_distribution<std::size_t> pick(
             0, all_mappings.size() - 1);
@@ -281,6 +236,9 @@ TEST(ExploreOptimizerProperty, TopKMatchesBruteForceOverRandomGrids)
         totals.skippedInfeasible += at1.counters.skippedInfeasible;
         totals.feasible += at1.counters.feasible;
         totals.failed += at1.counters.failed;
+        for (const auto &entry : at1.topK)
+            if (entry.result.perBatch.commMoe > 0.0)
+                ++ranked_moe;
     }
     // The generator must exercise every disposition class — in
     // particular prunedByBound > 0 together with the bit-identical
@@ -292,6 +250,7 @@ TEST(ExploreOptimizerProperty, TopKMatchesBruteForceOverRandomGrids)
     EXPECT_GT(totals.skippedInfeasible, 0u);
     EXPECT_GT(totals.failed, 0u);
     EXPECT_LT(totals.evaluated, totals.points);
+    EXPECT_GT(ranked_moe, 0u);
 }
 
 // ---------------------------------------------------------------------
