@@ -11,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -18,6 +19,8 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <vector>
 
 #include "case_study_util.hpp"
 #include "common/parse_num.hpp"
@@ -277,6 +280,59 @@ BM_EfficiencyFit(benchmark::State &state)
 BENCHMARK(BM_EfficiencyFit);
 
 /**
+ * The Case Study I jobs of the sweep-throughput grid: @p num_batches
+ * batch sizes 2048, 2056, 2064, ...  Against the 360 mappings of
+ * sweepGridMappings(), 2800 of them make the 1,008,000-point grid.
+ */
+std::vector<core::TrainingJob>
+caseStudyJobs(std::size_t num_batches)
+{
+    core::TrainingJob job;
+    job.totalTrainingTokens = 300e9;
+    std::vector<core::TrainingJob> jobs;
+    jobs.reserve(num_batches);
+    for (std::size_t i = 0; i < num_batches; ++i) {
+        job.batchSize = 2048.0 + 8.0 * static_cast<double>(i);
+        jobs.push_back(job);
+    }
+    return jobs;
+}
+
+/**
+ * The rank phase alone: Explorer::sortByTime over the grid-ordered
+ * Case Study I result of 360 mappings x arg batch sizes (2800 = the
+ * 1,008,000-point grid of --sweep-bench-out).  Each iteration sorts
+ * a fresh copy of the sweep's entries; restoring that copy happens
+ * outside the timed region.
+ */
+void
+BM_SortByTime(benchmark::State &state)
+{
+    explore::Explorer explorer(caseStudyModel());
+    const auto sweep = explorer.sweepJobs(
+        sweepGridMappings(),
+        caseStudyJobs(static_cast<std::size_t>(state.range(0))));
+    std::vector<explore::SweepEntry> entries = sweep.entries;
+    for (auto _ : state) {
+        state.PauseTiming();
+        std::copy(sweep.entries.begin(), sweep.entries.end(),
+                  entries.begin());
+        state.ResumeTiming();
+        explore::Explorer::sortByTime(entries);
+        benchmark::DoNotOptimize(entries.data());
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(entries.size()));
+    state.counters["entries"] = static_cast<double>(entries.size());
+}
+BENCHMARK(BM_SortByTime)
+    ->Arg(16)
+    ->Arg(2800)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+/**
  * Golden mode: instead of timings (which are machine-dependent),
  * emit the deterministic *outputs* of the code paths the
  * microbenchmarks exercise — evaluator result, mapping-space size,
@@ -413,24 +469,11 @@ runSweepBenchMode(int argc, char **argv)
     }
 
     const auto &mappings = sweepGridMappings();
-    std::vector<double> batches;
-    batches.reserve(num_batches);
-    for (std::size_t i = 0; i < num_batches; ++i)
-        batches.push_back(2048.0 + 8.0 * static_cast<double>(i));
-    core::TrainingJob job;
-    job.batchSize = 8192.0;
-    job.totalTrainingTokens = 300e9;
-
+    const auto jobs = caseStudyJobs(num_batches);
     explore::Explorer explorer(caseStudyModel());
     explorer.setThreads(threads);
-    std::vector<core::TrainingJob> jobs;
-    jobs.reserve(batches.size());
-    for (const double batch : batches) {
-        jobs.push_back(job);
-        jobs.back().batchSize = batch;
-    }
 
-    const std::size_t points = mappings.size() * batches.size();
+    const std::size_t points = mappings.size() * jobs.size();
     const double bytes_per_point =
         static_cast<double>(sizeof(core::EvaluationResult));
     using clock = std::chrono::steady_clock;
@@ -484,7 +527,7 @@ runSweepBenchMode(int argc, char **argv)
     };
     obs::Json grid = obs::Json::object();
     grid.set("mappings", mappings.size());
-    grid.set("batch_sizes", batches.size());
+    grid.set("batch_sizes", jobs.size());
     grid.set("points", points);
     obs::Json thread_info = obs::Json::object();
     thread_info.set("requested",
@@ -492,6 +535,13 @@ runSweepBenchMode(int argc, char **argv)
                         ? threads
                         : ThreadPool::defaultThreadCount());
     thread_info.set("pool", ThreadPool::shared().threadCount());
+    // Which host made these numbers; never part of the gate.
+    obs::Json host = obs::Json::object();
+    host.set("nproc", static_cast<std::int64_t>(
+                          std::thread::hardware_concurrency()));
+    host.set("pool_threads", ThreadPool::shared().threadCount());
+    host.set("compiler", AMPED_BENCH_COMPILER);
+    host.set("build_type", AMPED_BENCH_BUILD_TYPE);
     obs::Json counters = obs::Json::object();
     counters.set("entries", sweeps[0].entries.size());
     counters.set("skipped", sweeps[0].skipped);
@@ -502,6 +552,7 @@ runSweepBenchMode(int argc, char **argv)
     root.set("kind", "amped.sweep_bench");
     root.set("grid", std::move(grid));
     root.set("threads", std::move(thread_info));
+    root.set("host", std::move(host));
     root.set("bytes_per_point", bytes_per_point);
     root.set("counters", std::move(counters));
     obs::Json runs = obs::Json::array();

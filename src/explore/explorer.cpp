@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
@@ -115,10 +116,34 @@ Explorer::best(const SweepResult &sweep_result)
 void
 Explorer::sortByTime(std::vector<SweepEntry> &entries)
 {
-    std::stable_sort(entries.begin(), entries.end(),
-                     [](const SweepEntry &a, const SweepEntry &b) {
-                         return timeKey(a) < timeKey(b);
-                     });
+    // Rank 16-byte (key, position) pairs rather than moving whole
+    // entries through every merge pass.  The pairs compare
+    // lexicographically, so key ties break on the input position:
+    // exactly std::stable_sort's order.
+    std::vector<std::pair<double, std::size_t>> order;
+    order.reserve(entries.size());
+    for (std::size_t i = 0; i < entries.size(); ++i)
+        order.emplace_back(timeKey(entries[i]), i);
+    std::sort(order.begin(), order.end());
+
+    // Apply the order in place, one permutation cycle at a time:
+    // slot i takes the entry at position order[i].second, so each
+    // entry moves once and no second copy of entries is built.  A
+    // settled slot is marked by pointing it at itself.
+    for (std::size_t start = 0; start < order.size(); ++start) {
+        if (order[start].second == start)
+            continue;
+        SweepEntry held = std::move(entries[start]);
+        std::size_t slot = start;
+        while (order[slot].second != start) {
+            const std::size_t from = order[slot].second;
+            entries[slot] = std::move(entries[from]);
+            order[slot].second = slot;
+            slot = from;
+        }
+        entries[slot] = std::move(held);
+        order[slot].second = slot;
+    }
 }
 
 std::string

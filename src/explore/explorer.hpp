@@ -156,9 +156,13 @@ class Explorer
     best(const SweepResult &sweep_result);
 
     /**
-     * Sorts entries ascending by total training time; NaN-pinned
-     * entries sort to the end (NaN compares as +infinity, keeping
-     * the comparator a strict weak ordering).
+     * Sorts entries ascending by total training time.  The order is
+     * stable: entries with equal times (-0.0 and +0.0 are equal)
+     * keep their input order, exactly as std::stable_sort would
+     * leave them.  NaN-pinned entries rank as +infinity, so they
+     * sort last (tied with any real +infinity, in input order).  The
+     * sort ranks (time, position) pairs and then moves each entry
+     * once, in place: it never builds a second copy of @p entries.
      */
     static void sortByTime(std::vector<SweepEntry> &entries);
 

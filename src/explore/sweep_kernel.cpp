@@ -320,6 +320,12 @@ SweepKernel::sweepGrid(unsigned max_workers) const
     // (recording the cancellation latency exactly once) and returns
     // before any pending cache entry could be read.
 
+    // Reserve the grid's upper bound once instead of growing by
+    // doubling, which copies every entry again at each step and
+    // briefly holds two buffers.  Reserved pages that are never
+    // written are never resident, so a mostly infeasible grid costs
+    // no memory for the capacity it does not use.
+    out.entries.reserve(count);
     std::vector<Outcome> outcomes(std::min(kSweepBlockPoints, count));
     for (std::size_t base = 0; base < count;
          base += kSweepBlockPoints) {

@@ -8,14 +8,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <sstream>
+#include <type_traits>
 
 #include "common/log.hpp"
 #include "explore/ablation.hpp"
 #include "explore/explorer.hpp"
 #include "hw/presets.hpp"
 #include "model/presets.hpp"
+#include "net/system_config.hpp"
+#include "validate/calibrations.hpp"
 
 namespace amped {
 namespace explore {
@@ -97,6 +102,88 @@ TEST(ExplorerTest, SortOrdersAscending)
         EXPECT_LE(result.entries[i - 1].result.totalTime,
                   result.entries[i].result.totalTime);
     }
+}
+
+/** The ranking sortByTime promises: std::stable_sort by NaN->+inf. */
+std::vector<SweepEntry>
+stableSortReference(std::vector<SweepEntry> entries)
+{
+    const auto key = [](const SweepEntry &e) {
+        const double t = e.result.totalTime;
+        return std::isnan(t) ? std::numeric_limits<double>::infinity()
+                             : t;
+    };
+    std::stable_sort(entries.begin(), entries.end(),
+                     [&key](const SweepEntry &a, const SweepEntry &b) {
+                         return key(a) < key(b);
+                     });
+    return entries;
+}
+
+/** sortByTime's output equals the reference's, byte for byte. */
+void
+expectSortMatchesReference(const std::vector<SweepEntry> &input)
+{
+    static_assert(std::is_trivially_copyable_v<SweepEntry>);
+    const std::vector<SweepEntry> want = stableSortReference(input);
+    std::vector<SweepEntry> got = input;
+    Explorer::sortByTime(got);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(SweepEntry)),
+                  0)
+            << "entry " << i << " of " << got.size();
+    }
+}
+
+TEST(ExplorerTest, SortByTimeMatchesStableSortReference)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    // A small pool makes duplicate times common; -0.0 and +0.0 tie,
+    // and NaN ties with +inf, so only a stable sort keeps their
+    // input order.
+    const std::vector<double> pool = {nan, inf,  -0.0, 0.0, 1.0,
+                                      2.5, 2.5,  3.0,  1e9, -inf};
+    std::mt19937_64 rng(20231015);
+    const auto randomEntries = [&](std::size_t n) {
+        std::vector<SweepEntry> entries(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            // The position tag makes every entry distinct, so any
+            // reordering of tied entries shows in the bytes.
+            entries[i].mapping.tpIntra = static_cast<std::int64_t>(i);
+            entries[i].batchSize = static_cast<double>(rng() % 4096);
+            entries[i].result.timePerBatch =
+                static_cast<double>(rng() % 1000);
+            entries[i].result.totalTime = pool[rng() % pool.size()];
+        }
+        return entries;
+    };
+
+    for (std::size_t n : {0u, 1u, 2u}) {
+        for (int trial = 0; trial < 20; ++trial)
+            expectSortMatchesReference(randomEntries(n));
+    }
+    for (int trial = 0; trial < 50; ++trial)
+        expectSortMatchesReference(randomEntries(3 + rng() % 2000));
+
+    // A real sweep: the 360 mappings of Case Study I's 1024-GPU
+    // system at four batch sizes (1,440 points).
+    const auto system = net::presets::a100Cluster1024();
+    Explorer explorer(core::AmpedModel(
+        model::presets::megatron145B(), hw::presets::a100(),
+        validate::calibrations::caseStudy1(), system,
+        validate::calibrations::caseStudyOptions()));
+    explorer.setThreads(1);
+    core::TrainingJob job;
+    job.totalTrainingTokens = 300e9;
+    const auto sweep =
+        explorer.sweep(mapping::MappingSpace(system).enumerate(),
+                       {2048.0, 4096.0, 8192.0, 16384.0}, job);
+    ASSERT_EQ(sweep.entries.size() + sweep.skipped +
+                  sweep.memorySkipped,
+              1440u);
+    expectSortMatchesReference(sweep.entries);
 }
 
 TEST(ExplorerTest, MultipleBatchSizesCrossProduct)

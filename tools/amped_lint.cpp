@@ -48,8 +48,12 @@
  *    are evaluated on every call, including the ones that pass; in a
  *    per-point path that formatting dominated the run time.  Write
  *    `if (!cond) fatal(...)` instead, which builds the message only
- *    on failure.  The call may span lines: the rule scans from the
- *    first top-level comma to the matching parenthesis.
+ *    on failure.  Besides those names, a message may call no
+ *    function that any scanned file declares as returning a
+ *    `std::string` by value (a first pass over every file collects
+ *    them), which is how `PipelineSchedule::name()` is caught.  The
+ *    call may span lines: the rule scans from the first top-level
+ *    comma to the matching parenthesis.
  *
  * Allowlist entries are `rule:path-suffix:identifier`, one per line,
  * `#` comments; every entry should say why it is justified.
@@ -207,6 +211,50 @@ struct SourceFile
     std::vector<std::string> code; ///< 0-based; line N is code[N-1].
 };
 
+/** Facts collected from every scanned file before any rule runs. */
+struct TreeIndex
+{
+    /** Functions some file declares as returning std::string by
+     *  value (by name only: overloads and classes are not told
+     *  apart). */
+    std::set<std::string> stringReturning;
+};
+
+/**
+ * The file's code lines joined with newlines, for patterns that span
+ * lines; @p line_start receives each line's offset into the text.
+ */
+std::string
+joinedCode(const SourceFile &file, std::vector<std::size_t> &line_start)
+{
+    std::string text;
+    line_start.clear();
+    for (const std::string &code : file.code) {
+        line_start.push_back(text.size());
+        text += code;
+        text.push_back('\n');
+    }
+    return text;
+}
+
+/**
+ * Adds the functions @p file declares or defines as returning a
+ * std::string by value: `std::string name(`, with the return type
+ * and the (possibly qualified) name on the same or separate lines.
+ * References and pointers (`std::string &f(`) are not builders.
+ */
+void
+indexStringReturning(const SourceFile &file, TreeIndex &index)
+{
+    static const std::regex decl(
+        R"(\bstd\s*::\s*string\s+(?:\w+\s*::\s*)*(\w+)\s*\()");
+    std::vector<std::size_t> line_start;
+    const std::string text = joinedCode(file, line_start);
+    for (auto it = std::sregex_iterator(text.begin(), text.end(), decl);
+         it != std::sregex_iterator(); ++it)
+        index.stringReturning.insert((*it)[1].str());
+}
+
 // ---------------------------------------------------------------------
 // Rule: units-in-headers (absorbed from lint_units, PR 5).
 // ---------------------------------------------------------------------
@@ -258,7 +306,7 @@ isHeader(const std::string &path)
 
 void
 scanUnitsInHeaders(const SourceFile &file, const Allowlist &allow,
-                   std::vector<Finding> &out)
+                   const TreeIndex &, std::vector<Finding> &out)
 {
     static const std::string kRule = "units-in-headers";
     if (!isHeader(file.path))
@@ -313,7 +361,7 @@ scanUnitsInHeaders(const SourceFile &file, const Allowlist &allow,
 
 void
 scanNoLocaleParse(const SourceFile &file, const Allowlist &allow,
-                  std::vector<Finding> &out)
+                  const TreeIndex &, std::vector<Finding> &out)
 {
     static const std::string kRule = "no-locale-parse";
     static const std::regex call(
@@ -342,7 +390,7 @@ scanNoLocaleParse(const SourceFile &file, const Allowlist &allow,
 
 void
 scanNoNondeterminism(const SourceFile &file, const Allowlist &allow,
-                     std::vector<Finding> &out)
+                     const TreeIndex &, std::vector<Finding> &out)
 {
     static const std::string kRule = "no-nondeterminism";
     static const std::regex call(
@@ -397,6 +445,7 @@ isOutputUnit(const std::string &path)
 void
 scanNoUnorderedIterationInOutput(const SourceFile &file,
                                  const Allowlist &allow,
+                                 const TreeIndex &,
                                  std::vector<Finding> &out)
 {
     static const std::string kRule =
@@ -462,18 +511,14 @@ scanNoUnorderedIterationInOutput(const SourceFile &file,
 
 void
 scanNoEagerRequireMessage(const SourceFile &file, const Allowlist &allow,
+                          const TreeIndex &index,
                           std::vector<Finding> &out)
 {
     static const std::string kRule = "no-eager-require-message";
     // Calls spread over several lines, so scan the joined text and map
     // offsets back to line numbers.
-    std::string text;
     std::vector<std::size_t> line_start;
-    for (const std::string &code : file.code) {
-        line_start.push_back(text.size());
-        text += code;
-        text.push_back('\n');
-    }
+    const std::string text = joinedCode(file, line_start);
     const auto line_of = [&line_start](std::size_t offset) {
         return static_cast<std::size_t>(
             std::upper_bound(line_start.begin(), line_start.end(),
@@ -484,6 +529,7 @@ scanNoEagerRequireMessage(const SourceFile &file, const Allowlist &allow,
     static const std::regex builder(
         R"(\b(toString|to_string|format\w*|helpText)\s*\()"
         R"(|\.\s*(dump)\s*\(|\.\s*(str|string)\s*\(\s*\))");
+    static const std::regex any_call(R"(\b(\w+)\s*\()");
     for (auto it = std::sregex_iterator(text.begin(), text.end(), call);
          it != std::sregex_iterator(); ++it) {
         const auto begin = static_cast<std::size_t>(it->position());
@@ -507,13 +553,23 @@ scanNoEagerRequireMessage(const SourceFile &file, const Allowlist &allow,
         if (args == std::string::npos || args >= end)
             continue;
         const std::string message = text.substr(args, end - 1 - args);
+        std::string ident;
         std::smatch hit;
-        if (!std::regex_search(message, hit, builder))
-            continue;
-        const std::string ident =
-            hit[1].matched ? hit[1].str()
-                           : (hit[2].matched ? hit[2].str() : hit[3].str());
-        if (allow.allows(kRule, file.path, ident))
+        if (std::regex_search(message, hit, builder)) {
+            ident = hit[1].matched
+                        ? hit[1].str()
+                        : (hit[2].matched ? hit[2].str() : hit[3].str());
+        } else {
+            for (auto cit = std::sregex_iterator(message.begin(),
+                                                 message.end(), any_call);
+                 cit != std::sregex_iterator(); ++cit) {
+                if (index.stringReturning.count((*cit)[1].str()) != 0) {
+                    ident = (*cit)[1].str();
+                    break;
+                }
+            }
+        }
+        if (ident.empty() || allow.allows(kRule, file.path, ident))
             continue;
         out.push_back(
             {kRule, file.path, line_of(begin), ident,
@@ -529,7 +585,7 @@ scanNoEagerRequireMessage(const SourceFile &file, const Allowlist &allow,
 // ---------------------------------------------------------------------
 
 using ScanFn = void (*)(const SourceFile &, const Allowlist &,
-                        std::vector<Finding> &);
+                        const TreeIndex &, std::vector<Finding> &);
 
 struct Rule
 {
@@ -692,19 +748,23 @@ main(int argc, char **argv)
     }
     std::sort(files.begin(), files.end());
 
-    std::vector<Finding> findings;
-    std::size_t scanned = 0;
-    for (const auto &path : files) {
-        SourceFile file;
-        if (!readSource(path, file))
+    // Pass 1 reads every file and indexes the tree; pass 2 runs the
+    // rules, so a rule can use a fact declared in another file.
+    std::vector<SourceFile> sources(files.size());
+    TreeIndex index;
+    for (std::size_t i = 0; i < files.size(); ++i) {
+        if (!readSource(files[i], sources[i]))
             return 2;
-        ++scanned;
+        indexStringReturning(sources[i], index);
+    }
+    std::vector<Finding> findings;
+    for (const SourceFile &file : sources) {
         for (const Rule &rule : kRules) {
             if (!selected.empty() &&
                 std::find(selected.begin(), selected.end(),
                           rule.name) == selected.end())
                 continue;
-            rule.scan(file, allow, findings);
+            rule.scan(file, allow, index, findings);
         }
     }
 
@@ -714,7 +774,7 @@ main(int argc, char **argv)
     if (!findings_out.empty() &&
         !writeFindings(findings_out, findings))
         return 2;
-    std::cerr << "amped_lint: scanned " << scanned << " file(s), "
+    std::cerr << "amped_lint: scanned " << sources.size() << " file(s), "
               << findings.size() << " finding(s)\n";
     return findings.empty() ? 0 : 1;
 }
